@@ -118,18 +118,16 @@ def _cmd_certify(args) -> int:
 def _cmd_search(args) -> int:
     digraph = _load_digraph(args.input)
     if args.engine == "bb":
-        report = branch_bound_max(digraph, args.size)
-        engine = "bb"
+        report = branch_bound_max(digraph, args.size, budget=args.budget)
     else:
         report = enumerate_max(
             digraph, args.size,
             budget=args.budget, threads=args.threads, engine=args.engine,
         )
-        engine = args.engine
     print(_report_lines([
         ("vertices", digraph.n),
         ("size", args.size),
-        ("engine", engine),
+        ("engine", report.engine),
         ("best value", report.best_value),
         ("witness", _ids_str(report.best_set)),
         ("visited", report.nodes_visited),

@@ -205,11 +205,17 @@ class Digraph:
         return Digraph(len(kept), rows)
 
     def delete_vertex(self, v: int) -> "Digraph":
-        """Digraph with v removed and the remaining vertices relabeled."""
+        """Digraph with v removed and the remaining vertices relabeled.
+
+        Same result as inducing on every other vertex, but each row
+        is rebuilt with two shifts instead of bit by bit.
+        """
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range for n={self.n}")
-        keep = VertexSet(((1 << self.n) - 1) ^ (1 << v), self.n)
-        return self.induced(keep)
+        below = (1 << v) - 1
+        rows = [((row >> (v + 1)) << v) | (row & below)
+                for u, row in enumerate(self.rows) if u != v]
+        return Digraph(self.n - 1, rows)
 
     def is_tournament(self) -> bool:
         """True iff every vertex pair carries exactly one arc."""

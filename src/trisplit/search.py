@@ -5,21 +5,30 @@ sizes) of the minimum out-degree of the induced subdigraph:
 
 * ``enumerate_max`` sweeps every subset of each requested size.  For
   digraphs of at most 64 vertices the masks of one size class are
-  materialized as ascending numpy arrays, built level by level from
-  the previous size class, and degree minima are computed with
-  vectorized AND + popcount over fixed-index chunks.  Larger vertex
-  counts, and size profiles where the level-by-level build would cost
-  far more than the requested evaluation, fall back to a pure-Python
-  fixed-popcount successor loop (Gosper iteration).
+  written into one ascending numpy array, built from the previous size
+  class, and evaluated in chunks of ``_CHUNK`` masks, small enough for
+  a chunk's scratch arrays to stay in L2.  Per vertex the kernel makes
+  in-place passes over preallocated arrays: AND with the adjacency
+  row, popcount, OR in a membership byte that makes non-members read
+  255, and a running minimum.  Every ``_PRUNE_EVERY`` vertices it
+  drops the masks whose running minimum is already below the best
+  value of the chunks of the same size reduced before it; such a mask
+  can neither win nor tie, so the witness does not change.  With
+  threads, chunks run in waves of one chunk per thread, each wave
+  pruned against the waves before it.  Larger vertex counts, and size
+  profiles where the level-by-level build would cost far more than the
+  requested evaluation, fall back to a pure-Python fixed-popcount
+  successor loop (Gosper iteration).
 * ``branch_bound_max`` proves the same maximum for one target size by
-  depth-first selection over the candidate pool with sound pruning.
+  depth-first selection over the candidate pool with sound pruning,
+  within a node budget.
 
 Both engines report a witness subset; ties are broken toward the
 subset whose increasing id tuple is lexicographically smallest, and a
 nonempty witness is preferred when the empty set ties (the empty set
-is reported only when it is the entire searched family).  Chunk
-boundaries and reduction order are fixed by index, so results are
-independent of the worker count.
+is reported only when it is the entire searched family).  Pruning
+keeps ties and chunks are reduced in index order, so results do not
+depend on the chunk size or the worker count.
 """
 
 from __future__ import annotations
@@ -35,21 +44,37 @@ import numpy as np
 from .construction import level_params, ternary_tournament
 from .digraph import Digraph, VertexSet
 
-#: Default ceiling on the number of subsets one call may visit.
+#: Default ceiling on the subsets, or branch-and-bound nodes, one call may visit.
 DEFAULT_BUDGET = 1 << 27
 
-_CHUNK = 1 << 20
+#: Masks per kernel chunk: one chunk's scratch arrays fit in L2.
+_CHUNK = 1 << 16
+#: Vertex passes between compactions of a chunk.  At most 8: the
+#: passes in between read their membership bits from one byte.
+_PRUNE_EVERY = 8
 
 
 class BudgetExceeded(RuntimeError):
     """The requested family is larger than the subset budget."""
 
+    unit = "subsets"
+
     def __init__(self, required: int, budget: int):
         super().__init__(
-            f"search needs {required} subsets, budget allows {budget}"
+            f"search needs {required} {self.unit}, budget allows {budget}"
         )
         self.required = required
         self.budget = budget
+
+
+class NodeBudgetExceeded(BudgetExceeded):
+    """Branch and bound would visit more nodes than its budget.
+
+    The node count is not known in advance: ``required`` is
+    ``budget + 1``, the node at which the search stopped.
+    """
+
+    unit = "nodes or more"
 
 
 @dataclass(frozen=True)
@@ -59,7 +84,8 @@ class SearchReport:
     ``by_size`` maps each searched size to (best value, witness) for
     that size alone; ``best_set``/``best_value`` aggregate over all of
     them.  ``exact`` is True iff the family was fully covered or
-    soundly pruned.
+    soundly pruned.  ``engine`` names the engine that ran: ``blocks``,
+    ``gosper`` or ``bb`` (empty for a refused run's stub).
     """
 
     best_set: VertexSet
@@ -68,6 +94,7 @@ class SearchReport:
     pruned: int
     exact: bool
     elapsed: float
+    engine: str
     by_size: dict[int, tuple[int, VertexSet]] = field(default_factory=dict)
 
 
@@ -147,23 +174,82 @@ def _np_bit_reverse(arr: np.ndarray, n: int) -> np.ndarray:
     return x >> (64 - n)
 
 
-def _eval_chunk(masks: np.ndarray, adj: np.ndarray, n: int) -> tuple[int, int, int]:
+def _eval_chunk(masks: np.ndarray, adj: np.ndarray, n: int, bound: int,
+                buffers: tuple[np.ndarray, ...]) -> tuple[int, int, int]:
     """(best value, bit-reversed witness, witness mask) for one chunk.
 
-    Within a size class the id-lexicographically smallest attainer is
-    the one whose reversed mask is numerically largest.
+    Every ``_PRUNE_EVERY`` vertex passes the masks whose running
+    minimum is already below ``bound`` are dropped: the minimum only
+    falls, so a dropped mask can neither beat nor tie the bound, while
+    every tie survives.  The result is exact when some mask of the
+    chunk reaches ``bound``; otherwise it is below ``bound``, and
+    (-1, -1, 0) when every mask was dropped.  Within a size class the
+    id-lexicographically smallest attainer is the one whose reversed
+    mask is numerically largest.
     """
-    big = np.uint8(255)
-    md = np.full(masks.shape, big, dtype=np.uint8)
+    kept, word, plane, member, deg, low, keep = (b[:len(masks)] for b in buffers)
+    low.fill(255)
     for v in range(n):
-        d = np.bitwise_count(masks & adj[v]).astype(np.uint8)
-        member = ((masks >> v) & 1).astype(bool)
-        np.minimum(md, np.where(member, d, big), out=md)
-    vmax = int(md.max())
-    attain = masks[md == vmax]
+        j = v % _PRUNE_EVERY
+        if j == 0:
+            if v and bound > 0:
+                np.greater_equal(low, bound, out=keep)
+                c = int(np.count_nonzero(keep))
+                if c == 0:
+                    return -1, -1, 0
+                if c < len(masks):
+                    masks = np.compress(keep, masks, out=kept[:c])
+                    low = np.compress(keep, low, out=low[:c])
+                    word, plane, member, deg, keep = (
+                        b[:c] for b in (word, plane, member, deg, keep))
+            # bits v..v+7 of every mask, as one byte
+            np.right_shift(masks, v, out=word)
+            np.copyto(plane, word, casting="unsafe")
+        # member reads 0, non-member 255, so OR-ing it in hides non-members
+        np.right_shift(plane, j, out=member)
+        np.bitwise_and(member, 1, out=member)
+        np.subtract(member, 1, out=member)
+        np.bitwise_and(masks, adj[v], out=word)
+        np.bitwise_count(word, out=deg)
+        np.bitwise_or(deg, member, out=deg)
+        np.minimum(low, deg, out=low)
+    vmax = int(low.max())
+    attain = masks[low == vmax]
     rev = _np_bit_reverse(attain, n)
     i = int(np.argmax(rev))
     return vmax, int(rev[i]), int(attain[i])
+
+
+def _chunk_buffers(dtype) -> tuple[np.ndarray, ...]:
+    """Scratch arrays for one ``_eval_chunk`` call at a time."""
+    return (np.empty(_CHUNK, dtype), np.empty(_CHUNK, dtype),
+            *(np.empty(_CHUNK, np.uint8) for _ in range(4)),
+            np.empty(_CHUNK, bool))
+
+
+def _best_of_class(cur: np.ndarray, adj: np.ndarray, n: int, executor,
+                   slots: list[tuple[np.ndarray, ...]]) -> tuple[int, int]:
+    """(best value, witness mask) over one materialized size class.
+
+    Chunks run in waves of ``len(slots)``, reduced in index order; each
+    wave is pruned against the best value of the waves before it.
+    """
+    best = (-1, -1, 0)
+    wave = _CHUNK * len(slots)
+    for start in range(0, len(cur), wave):
+        chunks = [cur[lo:lo + _CHUNK]
+                  for lo in range(start, min(start + wave, len(cur)), _CHUNK)]
+        bound = best[0]
+        if executor is not None and len(chunks) > 1:
+            results = list(executor.map(
+                lambda c, buf: _eval_chunk(c, adj, n, bound, buf), chunks, slots))
+        else:
+            results = [_eval_chunk(c, adj, n, bound, buf)
+                       for c, buf in zip(chunks, slots)]
+        for result in results:
+            if result[:2] > best[:2]:
+                best = result
+    return best[0], best[2]
 
 
 def _blocks_by_size(digraph: Digraph, sizes: tuple[int, ...],
@@ -176,25 +262,21 @@ def _blocks_by_size(digraph: Digraph, sizes: tuple[int, ...],
     out: dict[int, tuple[int, VertexSet]] = {}
     if 0 in wanted:
         out[0] = (0, VertexSet.empty(n))
+    slots = [_chunk_buffers(dtype) for _ in range(max(threads, 1))]
     prev = np.zeros(1, dtype=dtype)  # the single size-0 mask
     executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
         for m in range(1, max(sizes) + 1):
-            parts = [prev[:math.comb(h, m - 1)] | dtype(1 << h)
-                     for h in range(m - 1, n)]
-            cur = np.concatenate(parts)
+            # masks with highest bit h are the size-(m-1) masks below h, plus h
+            cur = np.empty(math.comb(n, m), dtype=dtype)
+            lo = 0
+            for h in range(m - 1, n):
+                c = math.comb(h, m - 1)
+                np.bitwise_or(prev[:c], dtype(1 << h), out=cur[lo:lo + c])
+                lo += c
             if m in wanted:
-                chunks = [cur[lo:lo + _CHUNK] for lo in range(0, len(cur), _CHUNK)]
-                if executor is not None and len(chunks) > 1:
-                    results = list(executor.map(
-                        lambda c: _eval_chunk(c, adj, n), chunks))
-                else:
-                    results = [_eval_chunk(c, adj, n) for c in chunks]
-                best_v, best_rev, best_mask = -1, -1, 0
-                for v, rev, mask in results:
-                    if v > best_v or (v == best_v and rev > best_rev):
-                        best_v, best_rev, best_mask = v, rev, mask
-                out[m] = (best_v, VertexSet(best_mask, n))
+                value, mask = _best_of_class(cur, adj, n, executor, slots)
+                out[m] = (value, VertexSet(mask, n))
             prev = cur
     finally:
         if executor is not None:
@@ -277,20 +359,18 @@ def enumerate_max(digraph: Digraph, sizes, budget: int = DEFAULT_BUDGET,
         pruned=0,
         exact=True,
         elapsed=time.perf_counter() - t0,
+        engine=engine,
         by_size=by_size,
     )
 
 
-class _SearchDone(Exception):
-    pass
-
-
-def branch_bound_max(digraph: Digraph, target_size: int,
-                     prune: bool = True) -> SearchReport:
+def branch_bound_max(digraph: Digraph, target_size: int, prune: bool = True,
+                     budget: int = DEFAULT_BUDGET) -> SearchReport:
     """Exact maximum over subsets of exactly ``target_size`` vertices.
 
-    Depth-first selection in increasing id order.  Pruning rules, all
-    sound for the maximum value:
+    Depth-first selection in increasing id order, on an explicit stack
+    so that depth is not limited by the interpreter's recursion limit.
+    Pruning rules, all sound for the maximum value:
 
     * ceiling: a tournament's size-m subset has a vertex beaten at
       least (m-1)//2 times inside it, so the search stops once the
@@ -303,6 +383,8 @@ def branch_bound_max(digraph: Digraph, target_size: int,
 
     With ``prune=False`` only the structural feasibility check remains
     and every size-m subset is visited; the best value is unchanged.
+    Raises :class:`NodeBudgetExceeded` when the search is about to
+    visit node ``budget + 1``.
     """
     n = digraph.n
     if not 0 <= target_size <= n:
@@ -311,13 +393,17 @@ def branch_bound_max(digraph: Digraph, target_size: int,
     if target_size == 0:
         empty = VertexSet.empty(n)
         return SearchReport(empty, 0, 1, 0, True, time.perf_counter() - t0,
-                            {0: (0, empty)})
+                            "bb", {0: (0, empty)})
     rows = digraph.rows
     ceiling = (target_size - 1) // 2 if digraph.is_tournament() else target_size - 1
-    state = {"best": -1, "mask": 0, "visited": 0, "pruned": 0}
-
-    def recurse(sel: int, pool: int, nsel: int) -> None:
-        state["visited"] += 1
+    best, best_mask, visited, pruned = -1, 0, 0, 0
+    # (selected, candidates, selected count); the include branch pops first
+    stack = [(0, (1 << n) - 1, 0)]
+    while stack:
+        sel, pool, nsel = stack.pop()
+        if visited == budget:
+            raise NodeBudgetExceeded(budget + 1, budget)
+        visited += 1
         if nsel == target_size:
             rest, val = sel, n
             while rest:
@@ -326,13 +412,12 @@ def branch_bound_max(digraph: Digraph, target_size: int,
                 if d < val:
                     val = d
                 rest ^= low
-            if val > state["best"]:
-                state["best"], state["mask"] = val, sel
+            if val > best:
+                best, best_mask = val, sel
                 if val >= ceiling:
-                    raise _SearchDone
-            return
+                    break
+            continue
         if prune:
-            best = state["best"]
             # peel unreachable candidates to a fixpoint
             while True:
                 union = sel | pool
@@ -351,29 +436,27 @@ def branch_bound_max(digraph: Digraph, target_size: int,
             while rest:
                 low = rest & -rest
                 if (rows[low.bit_length() - 1] & union).bit_count() <= best:
-                    state["pruned"] += 1
-                    return
+                    break
                 rest ^= low
+            if rest:
+                pruned += 1
+                continue
         if pool.bit_count() < target_size - nsel:
-            state["pruned"] += 1
-            return
+            pruned += 1
+            continue
         low = pool & -pool
-        recurse(sel | low, pool ^ low, nsel + 1)
-        recurse(sel, pool ^ low, nsel)
-
-    try:
-        recurse(0, (1 << n) - 1, 0)
-    except _SearchDone:
-        pass
-    best_set = VertexSet(state["mask"], n)
+        stack.append((sel, pool ^ low, nsel))
+        stack.append((sel | low, pool ^ low, nsel + 1))
+    best_set = VertexSet(best_mask, n)
     return SearchReport(
         best_set=best_set,
-        best_value=state["best"],
-        nodes_visited=state["visited"],
-        pruned=state["pruned"],
+        best_value=best,
+        nodes_visited=visited,
+        pruned=pruned,
         exact=True,
         elapsed=time.perf_counter() - t0,
-        by_size={target_size: (state["best"], best_set)},
+        engine="bb",
+        by_size={target_size: (best, best_set)},
     )
 
 
@@ -401,6 +484,7 @@ def verify_bound(level: int, budget: int = DEFAULT_BUDGET,
             pruned=0,
             exact=False,
             elapsed=0.0,
+            engine="",
             by_size={},
         )
         return VerifyOutcome(level, params.bound, required, partial, None)

@@ -4,7 +4,13 @@ import io
 
 import pytest
 
-from trisplit import read_digraph, ternary_tournament, punctured_tournament
+from trisplit import (
+    Digraph,
+    punctured_tournament,
+    read_digraph,
+    ternary_tournament,
+    write_digraph,
+)
 from trisplit.cli import run
 
 
@@ -111,6 +117,35 @@ class TestSearch:
             assert code == 0
             outs[engine] = out.splitlines()[-1].split("visited")[0]
         assert len(set(outs.values())) == 1
+
+    def test_prints_resolved_engine(self, capsys, tmp_path):
+        p = tmp_path / "tri.dg"
+        p.write_text("3\n010\n001\n100\n")
+        code, out, _ = invoke(capsys, ["search", "--input", str(p), "--size", "3"])
+        assert code == 0
+        assert "engine      blocks" in out.splitlines()
+        assert out.splitlines()[-1] == "RESULT max=1 set=0,1,2 exact=true visited=1"
+        cycle = Digraph.from_arcs(70, [(i, (i + 1) % 70) for i in range(70)])
+        p.write_text(write_digraph(cycle))
+        code, out, _ = invoke(capsys, ["search", "--input", str(p), "--size", "1"])
+        assert code == 0
+        assert "engine      gosper" in out.splitlines()
+
+    def test_bb_honours_budget(self, capsys, tmp_path):
+        p = tmp_path / "five.dg"
+        p.write_text(write_digraph(Digraph.from_arcs(5, [(i, (i + 1) % 5) for i in range(5)])))
+        code, out, err = invoke(capsys, ["search", "--input", str(p), "--size", "3",
+                                         "--engine", "bb", "--budget", "1"])
+        assert code == 2 and out == ""
+        assert "budget allows 1" in err
+
+    def test_bb_deep_search_needs_no_recursion(self, capsys, tmp_path):
+        p = tmp_path / "arcless.dg"
+        p.write_text(write_digraph(Digraph(1500, [0] * 1500)))
+        code, out, err = invoke(capsys, ["search", "--input", str(p), "--size", "1200",
+                                         "--engine", "bb"])
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1].startswith("RESULT max=0 set=0,1,2,")
 
     def test_missing_file(self, capsys):
         code, _, err = invoke(capsys, ["search", "--input", "/no/such", "--size", "1"])

@@ -11,6 +11,7 @@ from trisplit import (
     DimensionError,
     VertexSet,
     read_digraph,
+    ternary_tournament,
     write_digraph,
 )
 
@@ -147,6 +148,19 @@ class TestDigraph:
         assert sorted(sub.arcs()) == [(1, 0)]
         with pytest.raises(ValueError):
             d.delete_vertex(3)
+
+    @settings(max_examples=50)
+    @given(digraphs(10))
+    def test_delete_vertex_matches_induced(self, d):
+        for v in range(d.n):
+            rest = VertexSet(d.full_set().bits ^ (1 << v), d.n)
+            assert d.delete_vertex(v) == d.induced(rest)
+
+    def test_delete_vertex_matches_induced_level_three(self):
+        d = ternary_tournament(3)
+        for v in range(d.n):
+            rest = VertexSet(d.full_set().bits ^ (1 << v), d.n)
+            assert d.delete_vertex(v) == d.induced(rest)
 
     @settings(max_examples=75)
     @given(digraphs(10))

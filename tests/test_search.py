@@ -132,6 +132,12 @@ class TestEnumerate:
         assert (lone.best_value, lone.best_set, lone.by_size) == \
                (team.best_value, team.best_set, team.by_size)
 
+    def test_engine_is_recorded(self):
+        tri = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
+        assert enumerate_max(tri, 2).engine == "blocks"
+        assert enumerate_max(tri, 2, engine="gosper").engine == "gosper"
+        assert branch_bound_max(tri, 2).engine == "bb"
+
     def test_gosper_handles_more_than_64_vertices(self):
         d = Digraph.from_arcs(70, [(i, (i + 1) % 70) for i in range(70)])
         r = enumerate_max(d, 2)
@@ -184,6 +190,27 @@ class TestBranchBound:
             assert d.min_out_degree(r.best_set) == r.best_value
             assert len(r.best_set) == m
 
+    def test_visit_order_counts_frozen(self):
+        # node and prune counts depend on the exact depth-first order
+        d = punctured_tournament(2)
+        assert [(r.nodes_visited, r.pruned)
+                for r in (branch_bound_max(d, m) for m in range(1, 9))] == \
+            [(2, 0), (3, 0), (16, 1), (9, 0), (83, 27), (7, 0), (15, 7), (9, 0)]
+        t = ternary_tournament(2)
+        assert [(r.nodes_visited, r.pruned)
+                for r in (branch_bound_max(t, m, prune=False) for m in range(1, 10))] == \
+            [(2, 0), (3, 0), (4, 0), (11, 0), (503, 126), (25, 2), (239, 84),
+             (9, 0), (10, 0)]
+
+    def test_node_budget(self):
+        d = punctured_tournament(2)
+        need = branch_bound_max(d, 5).nodes_visited
+        assert branch_bound_max(d, 5, budget=need).nodes_visited == need
+        with pytest.raises(BudgetExceeded) as exc:
+            branch_bound_max(d, 5, budget=need - 1)
+        assert exc.value.required == need
+        assert exc.value.budget == need - 1
+
     @pytest.mark.slow
     def test_punctured_level_three_half(self):
         # exact value at the counterexample's own scale; equals the
@@ -223,6 +250,47 @@ class TestVerify:
         out = verify_bound(4)
         with pytest.raises(LookupError):
             witness_extremal(4, report=out.report)
+
+
+def assert_blocks_kernel_exact(d, arcs, sizes, chunk, threads):
+    """Blocks engine at a given chunk size and thread count against the
+    gosper engine and the naive oracle, per size, witnesses included."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trisplit.search, "_CHUNK", chunk)
+        got = enumerate_max(d, sizes, engine="blocks", threads=threads)
+    want = enumerate_max(d, sizes, engine="gosper")
+    assert got.by_size == want.by_size
+    assert (got.best_value, got.best_set) == (want.best_value, want.best_set)
+    for m in sizes:
+        value, witness = naive_max_over_sizes(arcs, d.n, [m])
+        assert got.by_size[m][0] == value
+        assert got.by_size[m][1].ids() == witness
+
+
+KERNEL_SETUPS = [(chunk, threads) for chunk in (1, 7, 64) for threads in (1, 2)]
+
+
+@pytest.mark.parametrize("chunk,threads", KERNEL_SETUPS)
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32),
+       n=st.integers(min_value=1, max_value=11),
+       density=st.integers(min_value=1, max_value=3))
+def test_blocks_kernel_pruning_is_exact(chunk, threads, seed, n, density):
+    rng = SplitMix64(seed)
+    arcs = random_digraph(rng, n, density, 4)
+    assert_blocks_kernel_exact(from_arcset(arcs, n), arcs, range(n + 1),
+                               chunk, threads)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32),
+       n=st.integers(min_value=33, max_value=40))
+def test_blocks_kernel_on_64_bit_masks(threads, seed, n):
+    rng = SplitMix64(seed)
+    arcs = random_tournament(rng, n)
+    assert_blocks_kernel_exact(from_arcset(arcs, n), arcs, range(1, 4),
+                               64, threads)
 
 
 @settings(max_examples=40, deadline=None)
