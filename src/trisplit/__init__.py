@@ -55,7 +55,6 @@ from .search import (
     fixed_popcount_masks,
     subset_count,
     verify_bound,
-    witness_extremal,
 )
 
 __version__ = "0.1.0"

@@ -76,13 +76,6 @@ def _cmd_generate(args) -> int:
 
 def _cmd_verify(args) -> int:
     outcome = verify_bound(args.k, budget=args.budget, threads=args.threads)
-    if outcome.passed is None:
-        print(
-            f"verify: level {args.k} needs {outcome.required} subsets, "
-            f"budget allows {args.budget}",
-            file=sys.stderr,
-        )
-        return 2
     r = outcome.report
     print(_report_lines([
         ("level", args.k),

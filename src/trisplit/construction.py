@@ -32,15 +32,13 @@ class LevelParams:
 
     order       3**level, the number of vertices
     reg_degree  (order - 1) // 2, the common in- and out-degree
-    n           half the vertex count after one deletion, equals reg_degree
-    s           n - 1, the minimum out-degree of the punctured tournament
+    s           reg_degree - 1, the minimum out-degree of the punctured tournament
     bound       ((order - 1) // 2 - level) // 2, the subset degree cap
     """
 
     level: int
     order: int
     reg_degree: int
-    n: int
     s: int
     bound: int
 
@@ -60,7 +58,6 @@ def level_params(level: int) -> LevelParams:
         level=level,
         order=order,
         reg_degree=reg,
-        n=reg,
         s=reg - 1,
         bound=(reg - level) // 2,
     )

@@ -225,23 +225,12 @@ class Digraph:
                     return False
         return True
 
-    def packed_rows(self) -> np.ndarray:
-        """Adjacency as an (n, ceil(n/8)) uint8 array, little-endian bits.
-
-        Bit j of byte b in row u is arc u -> 8*b+j.  Used by the
-        vectorized counting paths.
-        """
-        width = max(1, (self.n + 7) // 8)
-        buf = bytearray(self.n * width)
-        for u, row in enumerate(self.rows):
-            buf[u * width:(u + 1) * width] = row.to_bytes(width, "little")
-        return np.frombuffer(bytes(buf), dtype=np.uint8).reshape(self.n, width)
-
     def degree_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(out_degrees, in_degrees) of all vertices as int64 arrays."""
-        if self.n == 0:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        packed = self.packed_rows()
+        # bit j of byte b in row u is arc u -> 8*b+j
+        width = max(1, (self.n + 7) // 8)
+        buf = b"".join(row.to_bytes(width, "little") for row in self.rows)
+        packed = np.frombuffer(buf, dtype=np.uint8).reshape(self.n, width)
         out = np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
         unpacked = np.unpackbits(packed, axis=1, bitorder="little", count=self.n)
         inn = unpacked.sum(axis=0, dtype=np.int64)

@@ -160,7 +160,6 @@ class GapRow:
     s: int
     bound: int
     gap_exact: Fraction
-    half_level_minus_1: Fraction
     log3_s: float
 
 
@@ -177,15 +176,13 @@ def gap_table(k_max: int) -> list[GapRow]:
     for k in range(1, k_max + 1):
         p = level_params(k)
         gap = Fraction(p.s, 2) - p.bound
-        half = Fraction(k - 1, 2)
-        assert gap == half
+        assert gap == Fraction(k - 1, 2)
         rows.append(GapRow(
             k=k,
-            n=p.n,
+            n=p.reg_degree,
             s=p.s,
             bound=p.bound,
             gap_exact=gap,
-            half_level_minus_1=half,
             log3_s=math.log(p.s, 3) if p.s > 0 else math.nan,
         ))
     return rows

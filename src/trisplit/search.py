@@ -26,9 +26,12 @@ sizes) of the minimum out-degree of the induced subdigraph:
 Both engines report a witness subset; ties are broken toward the
 subset whose increasing id tuple is lexicographically smallest, and a
 nonempty witness is preferred when the empty set ties (the empty set
-is reported only when it is the entire searched family).  Pruning
-keeps ties and chunks are reduced in index order, so results do not
-depend on the chunk size or the worker count.
+is reported only when it is the entire searched family).
+``enumerate_max`` applies the tie-break in one place: it relabels the
+digraph v -> n-1-v before sweeping, so that the lexicographically
+smallest witness becomes the numerically largest attaining mask, and
+maps each size's winning mask back once.  Pruning keeps ties, so
+results do not depend on the chunk size or the worker count.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -60,9 +63,11 @@ class BudgetExceeded(RuntimeError):
     unit = "subsets"
 
     def __init__(self, required: int, budget: int):
-        super().__init__(
-            f"search needs {required} {self.unit}, budget allows {budget}"
-        )
+        try:
+            need = str(required)
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            need = f"at least 2**{required.bit_length() - 1}"
+        super().__init__(f"search needs {need} {self.unit}, budget allows {budget}")
         self.required = required
         self.budget = budget
 
@@ -70,8 +75,9 @@ class BudgetExceeded(RuntimeError):
 class NodeBudgetExceeded(BudgetExceeded):
     """Branch and bound would visit more nodes than its budget.
 
-    The node count is not known in advance: ``required`` is
-    ``budget + 1``, the node at which the search stopped.
+    The node count is not known in advance: ``required`` is the
+    number of the node at which the search stopped, ``budget + 1``
+    for a budget of at least zero.
     """
 
     unit = "nodes or more"
@@ -85,7 +91,7 @@ class SearchReport:
     that size alone; ``best_set``/``best_value`` aggregate over all of
     them.  ``exact`` is True iff the family was fully covered or
     soundly pruned.  ``engine`` names the engine that ran: ``blocks``,
-    ``gosper`` or ``bb`` (empty for a refused run's stub).
+    ``gosper`` or ``bb``.
     """
 
     best_set: VertexSet
@@ -102,16 +108,16 @@ class SearchReport:
 class VerifyOutcome:
     """Result of checking one level's subset degree cap.
 
-    A run refused for exceeding the subset budget carries a stub
-    report with ``exact=False`` and ``passed=None`` (no verdict);
-    ``required`` always holds the family size estimate.
+    ``report`` is the exact sweep of the level's tournament, and
+    ``passed`` says whether its maximum stays within ``bound``.  A
+    family larger than the budget raises :class:`BudgetExceeded`
+    instead, so every outcome carries a verdict.
     """
 
     level: int
     bound: int
-    required: int
     report: SearchReport
-    passed: Optional[bool]
+    passed: bool
 
 
 def subset_count(n: int, sizes: Iterable[int]) -> int:
@@ -151,41 +157,21 @@ def _normalize_sizes(n: int, sizes) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _bit_reverse_int(mask: int, n: int) -> int:
-    if n == 0:
-        return 0
-    return int(format(mask, f"0{n}b")[::-1], 2) if mask else 0
-
-
-def _np_bit_reverse(arr: np.ndarray, n: int) -> np.ndarray:
-    """Reverse the low n bits of each element (n <= 64)."""
-    if arr.dtype == np.uint32:
-        x = arr.copy()
-        x = ((x & 0x55555555) << 1) | ((x >> 1) & 0x55555555)
-        x = ((x & 0x33333333) << 2) | ((x >> 2) & 0x33333333)
-        x = ((x & 0x0F0F0F0F) << 4) | ((x >> 4) & 0x0F0F0F0F)
-        x = x.byteswap()
-        return x >> (32 - n)
-    x = arr.astype(np.uint64)
-    x = ((x & 0x5555555555555555) << 1) | ((x >> 1) & 0x5555555555555555)
-    x = ((x & 0x3333333333333333) << 2) | ((x >> 2) & 0x3333333333333333)
-    x = ((x & 0x0F0F0F0F0F0F0F0F) << 4) | ((x >> 4) & 0x0F0F0F0F0F0F0F0F)
-    x = x.byteswap()
-    return x >> (64 - n)
+def _reverse(mask: int, n: int) -> int:
+    """``mask`` under the relabel v -> n-1-v of an n-vertex digraph."""
+    return int(format(mask, f"0{n}b")[::-1], 2)
 
 
 def _eval_chunk(masks: np.ndarray, adj: np.ndarray, n: int, bound: int,
-                buffers: tuple[np.ndarray, ...]) -> tuple[int, int, int]:
-    """(best value, bit-reversed witness, witness mask) for one chunk.
+                buffers: tuple[np.ndarray, ...]) -> tuple[int, int]:
+    """(best value, largest mask attaining it) for one chunk.
 
     Every ``_PRUNE_EVERY`` vertex passes the masks whose running
     minimum is already below ``bound`` are dropped: the minimum only
     falls, so a dropped mask can neither beat nor tie the bound, while
     every tie survives.  The result is exact when some mask of the
     chunk reaches ``bound``; otherwise it is below ``bound``, and
-    (-1, -1, 0) when every mask was dropped.  Within a size class the
-    id-lexicographically smallest attainer is the one whose reversed
-    mask is numerically largest.
+    (-1, 0) when every mask was dropped.
     """
     kept, word, plane, member, deg, low, keep = (b[:len(masks)] for b in buffers)
     low.fill(255)
@@ -196,7 +182,7 @@ def _eval_chunk(masks: np.ndarray, adj: np.ndarray, n: int, bound: int,
                 np.greater_equal(low, bound, out=keep)
                 c = int(np.count_nonzero(keep))
                 if c == 0:
-                    return -1, -1, 0
+                    return -1, 0
                 if c < len(masks):
                     masks = np.compress(keep, masks, out=kept[:c])
                     low = np.compress(keep, low, out=low[:c])
@@ -214,10 +200,7 @@ def _eval_chunk(masks: np.ndarray, adj: np.ndarray, n: int, bound: int,
         np.bitwise_or(deg, member, out=deg)
         np.minimum(low, deg, out=low)
     vmax = int(low.max())
-    attain = masks[low == vmax]
-    rev = _np_bit_reverse(attain, n)
-    i = int(np.argmax(rev))
-    return vmax, int(rev[i]), int(attain[i])
+    return vmax, int(masks[low == vmax].max())
 
 
 def _chunk_buffers(dtype) -> tuple[np.ndarray, ...]:
@@ -229,12 +212,12 @@ def _chunk_buffers(dtype) -> tuple[np.ndarray, ...]:
 
 def _best_of_class(cur: np.ndarray, adj: np.ndarray, n: int, executor,
                    slots: list[tuple[np.ndarray, ...]]) -> tuple[int, int]:
-    """(best value, witness mask) over one materialized size class.
+    """(best value, largest mask attaining it) over one size class.
 
-    Chunks run in waves of ``len(slots)``, reduced in index order; each
-    wave is pruned against the best value of the waves before it.
+    Chunks run in waves of ``len(slots)``; each wave is pruned against
+    the best value of the waves before it.
     """
-    best = (-1, -1, 0)
+    best = (-1, 0)
     wave = _CHUNK * len(slots)
     for start in range(0, len(cur), wave):
         chunks = [cur[lo:lo + _CHUNK]
@@ -246,22 +229,20 @@ def _best_of_class(cur: np.ndarray, adj: np.ndarray, n: int, executor,
         else:
             results = [_eval_chunk(c, adj, n, bound, buf)
                        for c, buf in zip(chunks, slots)]
-        for result in results:
-            if result[:2] > best[:2]:
-                best = result
-    return best[0], best[2]
+        best = max(best, *results)
+    return best
 
 
 def _blocks_by_size(digraph: Digraph, sizes: tuple[int, ...],
-                    threads: int) -> dict[int, tuple[int, VertexSet]]:
-    """Evaluate every requested size class with the vectorized engine."""
+                    threads: int) -> dict[int, tuple[int, int]]:
+    """(best value, largest mask attaining it) per size, vectorized."""
     n = digraph.n
     dtype = np.uint32 if n <= 32 else np.uint64
     adj = np.array(digraph.rows, dtype=dtype)
     wanted = set(sizes)
-    out: dict[int, tuple[int, VertexSet]] = {}
+    out: dict[int, tuple[int, int]] = {}
     if 0 in wanted:
-        out[0] = (0, VertexSet.empty(n))
+        out[0] = (0, 0)
     slots = [_chunk_buffers(dtype) for _ in range(max(threads, 1))]
     prev = np.zeros(1, dtype=dtype)  # the single size-0 mask
     executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
@@ -275,8 +256,7 @@ def _blocks_by_size(digraph: Digraph, sizes: tuple[int, ...],
                 np.bitwise_or(prev[:c], dtype(1 << h), out=cur[lo:lo + c])
                 lo += c
             if m in wanted:
-                value, mask = _best_of_class(cur, adj, n, executor, slots)
-                out[m] = (value, VertexSet(mask, n))
+                out[m] = _best_of_class(cur, adj, n, executor, slots)
             prev = cur
     finally:
         if executor is not None:
@@ -285,16 +265,16 @@ def _blocks_by_size(digraph: Digraph, sizes: tuple[int, ...],
 
 
 def _gosper_by_size(digraph: Digraph,
-                    sizes: tuple[int, ...]) -> dict[int, tuple[int, VertexSet]]:
-    """Pure-Python size-class sweep; works for any vertex count."""
+                    sizes: tuple[int, ...]) -> dict[int, tuple[int, int]]:
+    """(best value, largest mask attaining it) per size, for any n."""
     n = digraph.n
     rows = digraph.rows
-    out: dict[int, tuple[int, VertexSet]] = {}
+    out: dict[int, tuple[int, int]] = {}
     for m in sizes:
         if m == 0:
-            out[0] = (0, VertexSet.empty(n))
+            out[0] = (0, 0)
             continue
-        best_v, best_rev, best_mask = -1, -1, 0
+        best_v, best_mask = -1, 0
         for mask in fixed_popcount_masks(n, m):
             rest = mask
             d = n
@@ -304,11 +284,9 @@ def _gosper_by_size(digraph: Digraph,
                 if c < d:
                     d = c
                 rest ^= low
-            if d >= best_v:
-                rev = _bit_reverse_int(mask, n)
-                if d > best_v or rev > best_rev:
-                    best_v, best_rev, best_mask = d, rev, mask
-        out[m] = (best_v, VertexSet(best_mask, n))
+            if d >= best_v:  # masks ascend, so the last attainer is the largest
+                best_v, best_mask = d, mask
+        out[m] = (best_v, best_mask)
     return out
 
 
@@ -343,14 +321,19 @@ def enumerate_max(digraph: Digraph, sizes, budget: int = DEFAULT_BUDGET,
             engine = "blocks"
         else:
             engine = "gosper"
+    # under v -> n-1-v the id-lexicographically smallest witness is the
+    # numerically largest attaining mask, which both engines keep
+    flipped = Digraph(n, [_reverse(row, n) for row in reversed(digraph.rows)])
     if engine == "blocks":
         if n > 64:
             raise ValueError("blocks engine requires at most 64 vertices")
-        by_size = _blocks_by_size(digraph, sizes, threads)
+        raw = _blocks_by_size(flipped, sizes, threads)
     elif engine == "gosper":
-        by_size = _gosper_by_size(digraph, sizes)
+        raw = _gosper_by_size(flipped, sizes)
     else:
         raise ValueError(f"unknown engine {engine!r}")
+    by_size = {m: (value, VertexSet(_reverse(mask, n), n))
+               for m, (value, mask) in raw.items()}
     best_value, best_set = _combine_sizes(by_size)
     return SearchReport(
         best_set=best_set,
@@ -390,10 +373,6 @@ def branch_bound_max(digraph: Digraph, target_size: int, prune: bool = True,
     if not 0 <= target_size <= n:
         raise ValueError(f"target size {target_size} out of range for n={n}")
     t0 = time.perf_counter()
-    if target_size == 0:
-        empty = VertexSet.empty(n)
-        return SearchReport(empty, 0, 1, 0, True, time.perf_counter() - t0,
-                            "bb", {0: (0, empty)})
     rows = digraph.rows
     ceiling = (target_size - 1) // 2 if digraph.is_tournament() else target_size - 1
     best, best_mask, visited, pruned = -1, 0, 0, 0
@@ -401,11 +380,11 @@ def branch_bound_max(digraph: Digraph, target_size: int, prune: bool = True,
     stack = [(0, (1 << n) - 1, 0)]
     while stack:
         sel, pool, nsel = stack.pop()
-        if visited == budget:
-            raise NodeBudgetExceeded(budget + 1, budget)
+        if visited >= budget:
+            raise NodeBudgetExceeded(visited + 1, budget)
         visited += 1
         if nsel == target_size:
-            rest, val = sel, n
+            rest, val = sel, n if sel else 0  # the empty set scores 0
             while rest:
                 low = rest & -rest
                 d = (rows[low.bit_length() - 1] & sel).bit_count()
@@ -460,49 +439,21 @@ def branch_bound_max(digraph: Digraph, target_size: int, prune: bool = True,
     )
 
 
-_exact_runs: dict[int, SearchReport] = {}
-
-
 def verify_bound(level: int, budget: int = DEFAULT_BUDGET,
                  threads: int = 1) -> VerifyOutcome:
     """Exhaustively check the level's subset degree cap.
 
     Sweeps every subset of size 0..(3**level - 1)//2 of the level's
     tournament and compares the exact maximum against the closed-form
-    bound.  A family larger than ``budget`` is refused: the outcome
-    then has no report and no verdict, only the size estimate.
+    bound.  A family larger than ``budget`` raises
+    :class:`BudgetExceeded` before the tournament is built.
     """
     params = level_params(level)
-    n = params.order
-    sizes = range(params.reg_degree + 1)
-    required = subset_count(n, sizes)
+    # the sizes up to (order-1)/2 hold half of an odd-order set's subsets
+    required = 1 << (params.order - 1)
     if required > budget:
-        partial = SearchReport(
-            best_set=VertexSet.empty(n),
-            best_value=0,
-            nodes_visited=0,
-            pruned=0,
-            exact=False,
-            elapsed=0.0,
-            engine="",
-            by_size={},
-        )
-        return VerifyOutcome(level, params.bound, required, partial, None)
-    digraph = ternary_tournament(level)
-    report = enumerate_max(digraph, sizes, budget=budget, threads=threads)
-    _exact_runs[level] = report
-    return VerifyOutcome(level, params.bound, required, report,
+        raise BudgetExceeded(required, budget)
+    report = enumerate_max(ternary_tournament(level), range(params.reg_degree + 1),
+                           budget=budget, threads=threads)
+    return VerifyOutcome(level, params.bound, report,
                          report.best_value <= params.bound)
-
-
-def witness_extremal(level: int, report: Optional[SearchReport] = None) -> VertexSet:
-    """A subset attaining the exact maximum of a completed verify run.
-
-    Uses the given report, or the most recent exact :func:`verify_bound`
-    run for the level; raises LookupError when neither is available.
-    """
-    if report is None:
-        report = _exact_runs.get(level)
-    if report is None or not report.exact:
-        raise LookupError(f"no exact verification run recorded for level {level}")
-    return report.best_set

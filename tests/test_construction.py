@@ -23,8 +23,7 @@ def test_level_params_closed_forms():
         p = level_params(k)
         assert p.order == 3 ** k
         assert p.reg_degree == (3 ** k - 1) // 2
-        assert p.n == p.reg_degree
-        assert p.s == p.n - 1
+        assert p.s == p.reg_degree - 1
         assert 2 * p.bound == p.reg_degree - k
 
 

@@ -1,6 +1,5 @@
 """Dense digraph container, vertex sets, and the text format."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -169,14 +168,6 @@ class TestDigraph:
         assert out.tolist() == [d.out_degree(v) for v in range(d.n)]
         assert inn.tolist() == [sum(d.arc(u, v) for u in range(d.n) if u != v)
                                 for v in range(d.n)]
-
-    def test_packed_rows_layout(self):
-        d = Digraph.from_arcs(9, [(0, 8), (8, 0)])
-        packed = d.packed_rows()
-        assert packed.shape == (9, 2)
-        assert packed.dtype == np.uint8
-        assert packed[0, 1] == 1      # bit 8 lives in byte 1, bit 0
-        assert packed[8, 0] == 1
 
 
 class TestTextFormat:

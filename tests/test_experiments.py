@@ -155,7 +155,6 @@ class TestGapTable:
     def test_identity_holds_exactly_deep(self):
         for row in gap_table(40):
             assert row.gap_exact == Fraction(row.k - 1, 2)
-            assert row.gap_exact == row.half_level_minus_1
             assert row.bound == level_params(row.k).bound
 
     def test_log_column_display_only(self):
@@ -175,5 +174,5 @@ class TestGapTable:
         nan_lo, nan_hi = reference_curves(rows[0])
         assert math.isnan(nan_lo) and math.isnan(nan_hi)
         unit = GapRow(k=0, n=0, s=1, bound=0, gap_exact=Fraction(0),
-                      half_level_minus_1=Fraction(0), log3_s=0.0)
+                      log3_s=0.0)
         assert reference_curves(unit) == (0.0, 0.0)

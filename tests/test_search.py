@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import trisplit.search
 from trisplit import (
+    DEFAULT_BUDGET,
     Digraph,
     SplitMix64,
     BudgetExceeded,
@@ -20,7 +21,6 @@ from trisplit import (
     subset_count,
     ternary_tournament,
     verify_bound,
-    witness_extremal,
 )
 
 from naive import naive_max_over_sizes, random_digraph, random_tournament
@@ -211,6 +211,14 @@ class TestBranchBound:
         assert exc.value.required == need
         assert exc.value.budget == need - 1
 
+    def test_negative_node_budget_is_refused(self):
+        cycle = Digraph.from_arcs(5, [(i, (i + 1) % 5) for i in range(5)])
+        for size, budget in [(3, -1), (0, -1), (0, 0)]:
+            with pytest.raises(BudgetExceeded) as exc:
+                branch_bound_max(cycle, size, budget=budget)
+            assert exc.value.required == 1
+            assert exc.value.budget == budget
+
     @pytest.mark.slow
     def test_punctured_level_three_half(self):
         # exact value at the counterexample's own scale; equals the
@@ -229,27 +237,23 @@ class TestVerify:
             assert out.report.exact
 
     def test_budget_refusal_has_no_verdict(self):
-        out = verify_bound(4)
-        assert out.passed is None
-        assert not out.report.exact
-        assert out.required == sum(comb(81, i) for i in range(41))
+        with pytest.raises(BudgetExceeded) as exc:
+            verify_bound(4)
+        assert exc.value.required == sum(comb(81, i) for i in range(41))
+        assert exc.value.budget == DEFAULT_BUDGET
 
-    def test_witness_cache_roundtrip(self):
-        trisplit.search._exact_runs.clear()
-        with pytest.raises(LookupError):
-            witness_extremal(1)
-        out = verify_bound(1)
-        assert witness_extremal(1).ids() == (0,)
-        assert witness_extremal(1, report=out.report) == out.report.best_set
+    def test_budget_refusal_builds_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("tournament built for a refused run")
+
+        monkeypatch.setattr(trisplit.search, "ternary_tournament", refuse)
+        with pytest.raises(BudgetExceeded) as exc:
+            verify_bound(10)
+        assert exc.value.required == 1 << (3 ** 10 - 1)
+        assert str(exc.value).startswith("search needs at least 2**59048 subsets")
 
     def test_witness_level_two_frozen(self):
-        verify_bound(2)
-        assert witness_extremal(2).ids() == (0, 1, 2)
-
-    def test_partial_report_is_rejected_as_witness_source(self):
-        out = verify_bound(4)
-        with pytest.raises(LookupError):
-            witness_extremal(4, report=out.report)
+        assert verify_bound(2).report.best_set.ids() == (0, 1, 2)
 
 
 def assert_blocks_kernel_exact(d, arcs, sizes, chunk, threads):
