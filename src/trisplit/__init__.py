@@ -22,8 +22,6 @@ from .construction import (
     punctured_tournament,
     ternary_tournament,
     trit_arc,
-    trits,
-    vertex_from_trits,
 )
 from .digraph import (
     Digraph,

@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .certify import actual_min_out_degree, certify_bound
 from .construction import (
-    DEFAULT_MAX_VERTICES,
+    check_level,
     level_params,
     punctured_tournament,
     ternary_tournament,
@@ -69,13 +69,13 @@ def _cmd_generate(args) -> int:
         print("generate: --delete-vertex needs k >= 1", file=sys.stderr)
         return 2
     build = punctured_tournament if args.delete_vertex else ternary_tournament
-    digraph = build(args.k, max_vertices=args.max_vertices)
+    digraph = build(args.k)
     sys.stdout.write(write_digraph(digraph))
     return 0
 
 
 def _cmd_verify(args) -> int:
-    outcome = verify_bound(args.k, budget=args.budget, threads=args.threads)
+    outcome = verify_bound(args.k, budget=args.budget)
     r = outcome.report
     print(_report_lines([
         ("level", args.k),
@@ -90,6 +90,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    check_level(args.k)
     params = level_params(args.k)
     ids = _parse_id_list(args.set)
     subset = VertexSet.from_ids(ids, params.order)
@@ -113,10 +114,8 @@ def _cmd_search(args) -> int:
     if args.engine == "bb":
         report = branch_bound_max(digraph, args.size, budget=args.budget)
     else:
-        report = enumerate_max(
-            digraph, args.size,
-            budget=args.budget, threads=args.threads, engine=args.engine,
-        )
+        report = enumerate_max(digraph, args.size, budget=args.budget,
+                               engine=args.engine)
     print(_report_lines([
         ("vertices", digraph.n),
         ("size", args.size),
@@ -181,15 +180,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="recursion level")
     p.add_argument("--delete-vertex", action="store_true",
                    help="delete vertex 0 (the counterexample form)")
-    p.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES,
-                   help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("verify", help="exhaustive subset degree cap check")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="max subsets to visit (default %(default)s)")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("certify", help="recursive bound certificate for a subset")
@@ -204,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=["auto", "blocks", "gosper", "bb"],
                    default="auto")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("split", help="random balanced split trials, CSV out")

@@ -13,6 +13,11 @@ which must agree bit-for-bit with the recursive builder.
 
 Deleting one vertex from level k yields the 2n-vertex counterexample
 tournament with minimum out-degree n-1, where n = (3**k - 1) // 2.
+
+Every digraph is a dense bitset matrix, so construction has one limit,
+``DEFAULT_MAX_VERTICES`` vertices.  `check_level` applies it to a level
+without building anything, so callers whose work grows with 3**k can
+refuse a level up front.
 """
 
 from __future__ import annotations
@@ -63,16 +68,16 @@ def level_params(level: int) -> LevelParams:
     )
 
 
-def compose_cyclic(a: Digraph, b: Digraph, c: Digraph,
-                   max_vertices: int = DEFAULT_MAX_VERTICES) -> Digraph:
+def compose_cyclic(a: Digraph, b: Digraph, c: Digraph) -> Digraph:
     """Disjoint union of a, b, c plus all arcs a->b, b->c, c->a.
 
     The three blocks occupy consecutive id ranges in argument order.
     """
     na, nb, nc = a.n, b.n, c.n
     n = na + nb + nc
-    if n > max_vertices:
-        raise ValueError(f"composed digraph has {n} vertices, limit is {max_vertices}")
+    if n > DEFAULT_MAX_VERTICES:
+        raise ValueError(
+            f"composed digraph has {n} vertices, limit is {DEFAULT_MAX_VERTICES}")
     mask_a = (1 << na) - 1
     mask_b = ((1 << nb) - 1) << na
     mask_c = ((1 << nc) - 1) << (na + nb)
@@ -87,26 +92,29 @@ def _build_level(level: int) -> Digraph:
     if level == 0:
         return Digraph(1, [0])
     prev = _build_level(level - 1)
-    return compose_cyclic(prev, prev, prev, max_vertices=3 ** level)
+    return compose_cyclic(prev, prev, prev)
 
 
-def ternary_tournament(level: int,
-                       max_vertices: int = DEFAULT_MAX_VERTICES) -> Digraph:
+def check_level(level: int) -> None:
+    """Refuse a level whose tournament would exceed ``DEFAULT_MAX_VERTICES``."""
+    if level < 0:
+        raise ValueError(f"level must be >= 0, got {level}")
+    if 3 ** level > DEFAULT_MAX_VERTICES:
+        raise ValueError(
+            f"level {level} needs {3 ** level} vertices, limit is {DEFAULT_MAX_VERTICES}"
+        )
+
+
+def ternary_tournament(level: int) -> Digraph:
     """The regular tournament on 3**level vertices, built recursively.
 
     Results are cached per level; they are immutable, so sharing is safe.
     """
-    if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
-    if 3 ** level > max_vertices:
-        raise ValueError(
-            f"level {level} needs {3 ** level} vertices, limit is {max_vertices}"
-        )
+    check_level(level)
     return _build_level(level)
 
 
-def punctured_tournament(level: int,
-                         max_vertices: int = DEFAULT_MAX_VERTICES) -> Digraph:
+def punctured_tournament(level: int) -> Digraph:
     """Level-``level`` tournament with vertex 0 deleted.
 
     The family is vertex-transitive, so which vertex is deleted is
@@ -116,28 +124,7 @@ def punctured_tournament(level: int,
     """
     if level < 1:
         raise ValueError("puncturing level 0 would leave the empty digraph")
-    return ternary_tournament(level, max_vertices).delete_vertex(0)
-
-
-def trits(v: int, level: int) -> tuple[int, ...]:
-    """Base-3 digits of v, most significant first, padded to ``level``."""
-    if not 0 <= v < 3 ** level:
-        raise ValueError(f"vertex {v} out of range for level {level}")
-    digits = []
-    for _ in range(level):
-        digits.append(v % 3)
-        v //= 3
-    return tuple(reversed(digits))
-
-
-def vertex_from_trits(digits: tuple[int, ...]) -> int:
-    """Inverse of :func:`trits`."""
-    v = 0
-    for d in digits:
-        if d not in (0, 1, 2):
-            raise ValueError(f"invalid trit {d}")
-        v = 3 * v + d
-    return v
+    return ternary_tournament(level).delete_vertex(0)
 
 
 def trit_arc(u: int, v: int, level: int) -> bool:

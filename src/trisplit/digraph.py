@@ -153,16 +153,6 @@ class Digraph:
         """Out-degree of v in the whole digraph."""
         return self.rows[v].bit_count()
 
-    def out_degree_in(self, subset: VertexSet, v: int) -> int:
-        """Out-degree of v counting only arcs into ``subset``.
-
-        v must itself belong to the subset.
-        """
-        self._check_set(subset)
-        if v not in subset:
-            raise ValueError(f"vertex {v} is not in the subset")
-        return (self.rows[v] & subset.bits).bit_count()
-
     def min_out_degree(self, subset: VertexSet | None = None) -> int:
         """Minimum out-degree of the subdigraph induced by ``subset``.
 

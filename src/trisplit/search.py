@@ -13,12 +13,10 @@ sizes) of the minimum out-degree of the induced subdigraph:
   255, and a running minimum.  Every ``_PRUNE_EVERY`` vertices it
   drops the masks whose running minimum is already below the best
   value of the chunks of the same size reduced before it; such a mask
-  can neither win nor tie, so the witness does not change.  With
-  threads, chunks run in waves of one chunk per thread, each wave
-  pruned against the waves before it.  Larger vertex counts, and size
-  profiles where the level-by-level build would cost far more than the
-  requested evaluation, fall back to a pure-Python fixed-popcount
-  successor loop (Gosper iteration).
+  can neither win nor tie, so the witness does not change.  Larger
+  vertex counts, and size profiles where the level-by-level build
+  would cost far more than the requested evaluation, fall back to a
+  pure-Python fixed-popcount successor loop (Gosper iteration).
 * ``branch_bound_max`` proves the same maximum for one target size by
   depth-first selection over the candidate pool with sound pruning,
   within a node budget.
@@ -31,20 +29,19 @@ is reported only when it is the entire searched family).
 digraph v -> n-1-v before sweeping, so that the lexicographically
 smallest witness becomes the numerically largest attaining mask, and
 maps each size's winning mask back once.  Pruning keeps ties, so
-results do not depend on the chunk size or the worker count.
+results do not depend on the chunk size.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
-from .construction import level_params, ternary_tournament
+from .construction import check_level, level_params, ternary_tournament
 from .digraph import Digraph, VertexSet
 
 #: Default ceiling on the subsets, or branch-and-bound nodes, one call may visit.
@@ -110,11 +107,10 @@ class VerifyOutcome:
 
     ``report`` is the exact sweep of the level's tournament, and
     ``passed`` says whether its maximum stays within ``bound``.  A
-    family larger than the budget raises :class:`BudgetExceeded`
-    instead, so every outcome carries a verdict.
+    level past the construction limit or a family larger than the
+    budget raises instead, so every outcome carries a verdict.
     """
 
-    level: int
     bound: int
     report: SearchReport
     passed: bool
@@ -203,39 +199,13 @@ def _eval_chunk(masks: np.ndarray, adj: np.ndarray, n: int, bound: int,
     return vmax, int(masks[low == vmax].max())
 
 
-def _chunk_buffers(dtype) -> tuple[np.ndarray, ...]:
-    """Scratch arrays for one ``_eval_chunk`` call at a time."""
-    return (np.empty(_CHUNK, dtype), np.empty(_CHUNK, dtype),
-            *(np.empty(_CHUNK, np.uint8) for _ in range(4)),
-            np.empty(_CHUNK, bool))
+def _blocks_by_size(digraph: Digraph,
+                    sizes: tuple[int, ...]) -> dict[int, tuple[int, int]]:
+    """(best value, largest mask attaining it) per size, vectorized.
 
-
-def _best_of_class(cur: np.ndarray, adj: np.ndarray, n: int, executor,
-                   slots: list[tuple[np.ndarray, ...]]) -> tuple[int, int]:
-    """(best value, largest mask attaining it) over one size class.
-
-    Chunks run in waves of ``len(slots)``; each wave is pruned against
-    the best value of the waves before it.
+    Each chunk of a size class is pruned against the best value of the
+    chunks of that class before it.
     """
-    best = (-1, 0)
-    wave = _CHUNK * len(slots)
-    for start in range(0, len(cur), wave):
-        chunks = [cur[lo:lo + _CHUNK]
-                  for lo in range(start, min(start + wave, len(cur)), _CHUNK)]
-        bound = best[0]
-        if executor is not None and len(chunks) > 1:
-            results = list(executor.map(
-                lambda c, buf: _eval_chunk(c, adj, n, bound, buf), chunks, slots))
-        else:
-            results = [_eval_chunk(c, adj, n, bound, buf)
-                       for c, buf in zip(chunks, slots)]
-        best = max(best, *results)
-    return best
-
-
-def _blocks_by_size(digraph: Digraph, sizes: tuple[int, ...],
-                    threads: int) -> dict[int, tuple[int, int]]:
-    """(best value, largest mask attaining it) per size, vectorized."""
     n = digraph.n
     dtype = np.uint32 if n <= 32 else np.uint64
     adj = np.array(digraph.rows, dtype=dtype)
@@ -243,24 +213,26 @@ def _blocks_by_size(digraph: Digraph, sizes: tuple[int, ...],
     out: dict[int, tuple[int, int]] = {}
     if 0 in wanted:
         out[0] = (0, 0)
-    slots = [_chunk_buffers(dtype) for _ in range(max(threads, 1))]
+    # _eval_chunk's scratch, shared by every chunk of the call
+    buffers = (np.empty(_CHUNK, dtype), np.empty(_CHUNK, dtype),
+               *(np.empty(_CHUNK, np.uint8) for _ in range(4)),
+               np.empty(_CHUNK, bool))
     prev = np.zeros(1, dtype=dtype)  # the single size-0 mask
-    executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        for m in range(1, max(sizes) + 1):
-            # masks with highest bit h are the size-(m-1) masks below h, plus h
-            cur = np.empty(math.comb(n, m), dtype=dtype)
-            lo = 0
-            for h in range(m - 1, n):
-                c = math.comb(h, m - 1)
-                np.bitwise_or(prev[:c], dtype(1 << h), out=cur[lo:lo + c])
-                lo += c
-            if m in wanted:
-                out[m] = _best_of_class(cur, adj, n, executor, slots)
-            prev = cur
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    for m in range(1, max(sizes) + 1):
+        # masks with highest bit h are the size-(m-1) masks below h, plus h
+        cur = np.empty(math.comb(n, m), dtype=dtype)
+        lo = 0
+        for h in range(m - 1, n):
+            c = math.comb(h, m - 1)
+            np.bitwise_or(prev[:c], dtype(1 << h), out=cur[lo:lo + c])
+            lo += c
+        if m in wanted:
+            best = (-1, 0)
+            for start in range(0, len(cur), _CHUNK):
+                best = max(best, _eval_chunk(cur[start:start + _CHUNK], adj, n,
+                                             best[0], buffers))
+            out[m] = best
+        prev = cur
     return out
 
 
@@ -302,7 +274,7 @@ def _combine_sizes(by_size: dict[int, tuple[int, VertexSet]]) -> tuple[int, Vert
 
 
 def enumerate_max(digraph: Digraph, sizes, budget: int = DEFAULT_BUDGET,
-                  threads: int = 1, engine: str = "auto") -> SearchReport:
+                  engine: str = "auto") -> SearchReport:
     """Exhaustive maximum of min-out-degree over the given subset sizes.
 
     ``sizes`` is a single size or an iterable of sizes.  Refuses with
@@ -327,7 +299,7 @@ def enumerate_max(digraph: Digraph, sizes, budget: int = DEFAULT_BUDGET,
     if engine == "blocks":
         if n > 64:
             raise ValueError("blocks engine requires at most 64 vertices")
-        raw = _blocks_by_size(flipped, sizes, threads)
+        raw = _blocks_by_size(flipped, sizes)
     elif engine == "gosper":
         raw = _gosper_by_size(flipped, sizes)
     else:
@@ -439,21 +411,21 @@ def branch_bound_max(digraph: Digraph, target_size: int, prune: bool = True,
     )
 
 
-def verify_bound(level: int, budget: int = DEFAULT_BUDGET,
-                 threads: int = 1) -> VerifyOutcome:
+def verify_bound(level: int, budget: int = DEFAULT_BUDGET) -> VerifyOutcome:
     """Exhaustively check the level's subset degree cap.
 
     Sweeps every subset of size 0..(3**level - 1)//2 of the level's
     tournament and compares the exact maximum against the closed-form
-    bound.  A family larger than ``budget`` raises
-    :class:`BudgetExceeded` before the tournament is built.
+    bound.  A level past the construction limit raises ValueError, and
+    a family larger than ``budget`` raises :class:`BudgetExceeded`,
+    both before the tournament is built.
     """
+    check_level(level)
     params = level_params(level)
     # the sizes up to (order-1)/2 hold half of an odd-order set's subsets
     required = 1 << (params.order - 1)
     if required > budget:
         raise BudgetExceeded(required, budget)
     report = enumerate_max(ternary_tournament(level), range(params.reg_degree + 1),
-                           budget=budget, threads=threads)
-    return VerifyOutcome(level, params.bound, report,
-                         report.best_value <= params.bound)
+                           budget=budget)
+    return VerifyOutcome(params.bound, report, report.best_value <= params.bound)

@@ -3,6 +3,8 @@
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trisplit import (
     Digraph,
@@ -228,6 +230,26 @@ class TestDispatch:
     def test_help_exits_clean(self, capsys):
         assert invoke(capsys, ["--help"])[0] == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--threads", "2", "--k", "2"],
+        ["search", "--input", "-", "--size", "1", "--threads", "2"],
+        ["generate", "--k", "1", "--max-vertices", "9"],
+    ])
+    def test_removed_flags_are_usage_errors(self, capsys, argv):
+        code, out, _ = invoke(capsys, argv)
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--k", "40"],
+        ["certify", "--k", "41", "--set", "0"],
+        ["generate", "--k", "41"],
+    ])
+    def test_huge_level_refused_up_front(self, capsys, argv):
+        code, out, err = invoke(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == f"{argv[0]}: level {argv[2]} needs {3 ** int(argv[2])} vertices, " \
+                      "limit is 59049\n"
+
     def test_generate_pipes_into_search(self, capsys, monkeypatch):
         code, out, _ = invoke(capsys, ["generate", "--k", "2"])
         assert code == 0
@@ -235,3 +257,27 @@ class TestDispatch:
                                 stdin=out, monkeypatch=monkeypatch)
         assert code2 == 0
         assert "RESULT max=1 set=0,1,2,6 exact=true" in out2
+
+
+def _matrix_text(n):
+    """A count line and n rows of n characters from {0,1}: well shaped,
+    though a diagonal 1 still makes it invalid."""
+    rows = st.lists(st.text(alphabet="01", min_size=n, max_size=n),
+                    min_size=n, max_size=n)
+    return rows.map(lambda r: "\n".join([str(n), *r]) + "\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--input", "-", "--size", "1"],
+    ["split", "--input", "-", "--trials", "1"],
+])
+@settings(max_examples=150, deadline=None)
+@given(text=st.one_of(st.text(max_size=40),
+                      st.integers(min_value=0, max_value=6).flatmap(_matrix_text)))
+def test_garbage_stdin_exits_zero_or_two(argv, text):
+    """Any text on stdin either parses and runs (0) or is refused (2)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("sys.stdin", io.StringIO(text))
+        mp.setattr("sys.stdout", io.StringIO())
+        mp.setattr("sys.stderr", io.StringIO())
+        assert run(argv) in (0, 2)

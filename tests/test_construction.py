@@ -11,8 +11,6 @@ from trisplit import (
     punctured_tournament,
     ternary_tournament,
     trit_arc,
-    trits,
-    vertex_from_trits,
 )
 
 from naive import arcs_of, naive_is_tournament
@@ -67,31 +65,14 @@ def test_compose_cyclic_block_arcs():
 
 
 def test_compose_cyclic_respects_limit():
-    a = ternary_tournament(1)
-    with pytest.raises(ValueError):
-        compose_cyclic(a, a, a, max_vertices=8)
+    arcless = Digraph(20000, [0] * 20000)
+    with pytest.raises(ValueError, match="60000 vertices, limit is 59049"):
+        compose_cyclic(arcless, arcless, arcless)
 
 
 def test_ternary_tournament_respects_limit():
-    with pytest.raises(ValueError):
-        ternary_tournament(3, max_vertices=26)
-
-
-def test_trits_roundtrip_exhaustive_small():
-    for k in range(4):
-        for v in range(3 ** k):
-            ds = trits(v, k)
-            assert len(ds) == k
-            assert all(0 <= t <= 2 for t in ds)
-            assert vertex_from_trits(ds) == v
-
-
-@given(st.integers(min_value=0, max_value=6).flatmap(
-    lambda k: st.tuples(st.just(k),
-                        st.integers(min_value=0, max_value=3 ** k - 1))))
-def test_trits_roundtrip_random(kv):
-    k, v = kv
-    assert vertex_from_trits(trits(v, k)) == v
+    with pytest.raises(ValueError, match="level 11 needs 177147 vertices"):
+        ternary_tournament(11)
 
 
 def test_trit_arc_matches_recursive_build():

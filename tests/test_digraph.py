@@ -103,20 +103,16 @@ class TestDigraph:
         assert a == b and hash(a) == hash(b)
         assert a != Digraph.from_arcs(2, [(1, 0)])
 
-    def test_out_degree_in_requires_membership(self):
-        d = Digraph.from_arcs(3, [(0, 1), (1, 2)])
-        s = VertexSet.from_ids([0, 1], 3)
-        assert d.out_degree_in(s, 0) == 1
-        with pytest.raises(ValueError):
-            d.out_degree_in(s, 2)
-        with pytest.raises(DimensionError):
-            d.out_degree_in(VertexSet.from_ids([0], 4), 0)
-
     def test_min_out_degree_empty_and_full(self):
         d = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
         assert d.min_out_degree() == 1
         assert d.min_out_degree(VertexSet.empty(3)) == 0
         assert Digraph(0, []).min_out_degree() == 0
+
+    def test_min_out_degree_rejects_foreign_subset(self):
+        d = Digraph.from_arcs(3, [(0, 1), (1, 2)])
+        with pytest.raises(DimensionError):
+            d.min_out_degree(VertexSet.from_ids([0], 4))
 
     @settings(max_examples=150)
     @given(digraphs(10).flatmap(

@@ -124,14 +124,6 @@ class TestEnumerate:
             for m in range(1, n + 1):
                 assert enumerate_max(d, m).best_value <= (m - 1) // 2
 
-    def test_threads_do_not_change_results(self, monkeypatch):
-        monkeypatch.setattr(trisplit.search, "_CHUNK", 512)
-        d = ternary_tournament(2)
-        lone = enumerate_max(d, range(5), threads=1)
-        team = enumerate_max(d, range(5), threads=4)
-        assert (lone.best_value, lone.best_set, lone.by_size) == \
-               (team.best_value, team.best_set, team.by_size)
-
     def test_engine_is_recorded(self):
         tri = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
         assert enumerate_max(tri, 2).engine == "blocks"
@@ -256,12 +248,12 @@ class TestVerify:
         assert verify_bound(2).report.best_set.ids() == (0, 1, 2)
 
 
-def assert_blocks_kernel_exact(d, arcs, sizes, chunk, threads):
-    """Blocks engine at a given chunk size and thread count against the
-    gosper engine and the naive oracle, per size, witnesses included."""
+def assert_blocks_kernel_exact(d, arcs, sizes, chunk):
+    """Blocks engine at a given chunk size against the gosper engine and
+    the naive oracle, per size, witnesses included."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trisplit.search, "_CHUNK", chunk)
-        got = enumerate_max(d, sizes, engine="blocks", threads=threads)
+        got = enumerate_max(d, sizes, engine="blocks")
     want = enumerate_max(d, sizes, engine="gosper")
     assert got.by_size == want.by_size
     assert (got.best_value, got.best_set) == (want.best_value, want.best_set)
@@ -271,30 +263,24 @@ def assert_blocks_kernel_exact(d, arcs, sizes, chunk, threads):
         assert got.by_size[m][1].ids() == witness
 
 
-KERNEL_SETUPS = [(chunk, threads) for chunk in (1, 7, 64) for threads in (1, 2)]
-
-
-@pytest.mark.parametrize("chunk,threads", KERNEL_SETUPS)
+@pytest.mark.parametrize("chunk", [1, 7, 64])
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2 ** 32),
        n=st.integers(min_value=1, max_value=11),
        density=st.integers(min_value=1, max_value=3))
-def test_blocks_kernel_pruning_is_exact(chunk, threads, seed, n, density):
+def test_blocks_kernel_pruning_is_exact(chunk, seed, n, density):
     rng = SplitMix64(seed)
     arcs = random_digraph(rng, n, density, 4)
-    assert_blocks_kernel_exact(from_arcset(arcs, n), arcs, range(n + 1),
-                               chunk, threads)
+    assert_blocks_kernel_exact(from_arcset(arcs, n), arcs, range(n + 1), chunk)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
 @settings(max_examples=4, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2 ** 32),
        n=st.integers(min_value=33, max_value=40))
-def test_blocks_kernel_on_64_bit_masks(threads, seed, n):
+def test_blocks_kernel_on_64_bit_masks(seed, n):
     rng = SplitMix64(seed)
     arcs = random_tournament(rng, n)
-    assert_blocks_kernel_exact(from_arcset(arcs, n), arcs, range(1, 4),
-                               64, threads)
+    assert_blocks_kernel_exact(from_arcset(arcs, n), arcs, range(1, 4), 64)
 
 
 @settings(max_examples=40, deadline=None)
