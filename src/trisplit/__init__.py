@@ -39,7 +39,6 @@ from .experiments import (
     gap_table,
     mix64,
     random_balanced_split,
-    reference_curves,
     split_experiment,
     substream_seed,
 )
@@ -50,7 +49,6 @@ from .search import (
     VerifyOutcome,
     branch_bound_max,
     enumerate_max,
-    fixed_popcount_masks,
     subset_count,
     verify_bound,
 )

@@ -32,10 +32,11 @@ from .construction import (
     ternary_tournament,
 )
 from .digraph import Digraph, VertexSet, read_digraph, write_digraph
-from .experiments import gap_table, reference_curves, split_experiment
+from .experiments import gap_table, split_experiment
 from .search import (
     DEFAULT_BUDGET,
     BudgetExceeded,
+    auto_engine,
     branch_bound_max,
     enumerate_max,
     verify_bound,
@@ -111,11 +112,13 @@ def _cmd_certify(args) -> int:
 
 def _cmd_search(args) -> int:
     digraph = _load_digraph(args.input)
-    if args.engine == "bb":
+    engine = args.engine
+    if engine == "auto":
+        engine = auto_engine(digraph.n, args.size, args.budget)
+    if engine == "bb":
         report = branch_bound_max(digraph, args.size, budget=args.budget)
     else:
-        report = enumerate_max(digraph, args.size, budget=args.budget,
-                               engine=args.engine)
+        report = enumerate_max(digraph, args.size, budget=args.budget)
     print(_report_lines([
         ("vertices", digraph.n),
         ("size", args.size),
@@ -151,20 +154,11 @@ def _cmd_split(args) -> int:
 def _cmd_table(args) -> int:
     rows = gap_table(args.kmax)
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    header = ["k", "n", "s", "bound", "gap_num", "gap_den", "log3_s"]
-    if args.curves:
-        header += ["ref_log", "ref_sqrt"]
-        print("table: reference curves use constant 1, reference shape only",
-              file=sys.stderr)
-    writer.writerow(header)
+    writer.writerow(["k", "n", "s", "bound", "gap_num", "gap_den", "log3_s"])
     for row in rows:
-        rec = [row.k, row.n, row.s, row.bound,
-               row.gap_exact.numerator, row.gap_exact.denominator,
-               repr(row.log3_s)]
-        if args.curves:
-            lo, hi = reference_curves(row)
-            rec += [repr(lo), repr(hi)]
-        writer.writerow(rec)
+        writer.writerow([row.k, row.n, row.s, row.bound,
+                         row.gap_exact.numerator, row.gap_exact.denominator,
+                         repr(row.log3_s)])
     return 0
 
 
@@ -197,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exact max min-out-degree at one size")
     p.add_argument("--input", required=True, help="digraph file, or - for stdin")
     p.add_argument("--size", type=int, required=True)
-    p.add_argument("--engine", choices=["auto", "blocks", "gosper", "bb"],
+    p.add_argument("--engine", choices=["auto", "blocks", "bb"],
                    default="auto")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_search)
@@ -210,8 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="exact gap table, CSV out")
     p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--curves", action="store_true",
-                   help="append shape-only reference curve columns")
     p.set_defaults(func=_cmd_table)
 
     return parser

@@ -95,14 +95,22 @@ def _build_level(level: int) -> Digraph:
     return compose_cyclic(prev, prev, prev)
 
 
+def format_count(count: int) -> str:
+    """``count`` in decimal, or ``at least 2**b`` past the interpreter's
+    int-to-str digit limit."""
+    try:
+        return str(count)
+    except ValueError:
+        return f"at least 2**{count.bit_length() - 1}"
+
+
 def check_level(level: int) -> None:
     """Refuse a level whose tournament would exceed ``DEFAULT_MAX_VERTICES``."""
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
     if 3 ** level > DEFAULT_MAX_VERTICES:
-        raise ValueError(
-            f"level {level} needs {3 ** level} vertices, limit is {DEFAULT_MAX_VERTICES}"
-        )
+        raise ValueError(f"level {level} needs {format_count(3 ** level)} vertices, "
+                         f"limit is {DEFAULT_MAX_VERTICES}")
 
 
 def ternary_tournament(level: int) -> Digraph:

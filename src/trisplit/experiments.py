@@ -167,11 +167,17 @@ def gap_table(k_max: int) -> list[GapRow]:
     """Exact gap rows for levels 1..k_max.
 
     All identity fields are integers or rationals; nothing here
-    rounds.  The level count is not capped by the construction size
-    limit because no digraph is materialized.
+    rounds.  No digraph is materialized, so the level count is capped
+    by printing, not by the construction size limit: k_max must lie in
+    1..9000.  At level 9000 n has 4294 decimal digits, within the
+    interpreter's default int-to-str limit of 4300, which level 9014
+    passes.  An out-of-range k_max raises ValueError before any row is
+    computed.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
+    if k_max > 9000:
+        raise ValueError(f"k_max must be <= 9000, got {k_max}")
     rows = []
     for k in range(1, k_max + 1):
         p = level_params(k)
@@ -187,17 +193,3 @@ def gap_table(k_max: int) -> list[GapRow]:
         ))
     return rows
 
-
-def reference_curves(row: GapRow) -> tuple[float, float]:
-    """Shape-only comparison curves for one gap row.
-
-    Returns (log3 s, sqrt(s * log3 s)) with constant factor 1.  These
-    mirror the known lower and upper growth shapes of the gap; the
-    constants are not meaningful and nothing asserts against them.
-    """
-    if row.s > 1:
-        lg = math.log(row.s, 3)
-        return lg, math.sqrt(row.s * lg)
-    if row.s == 1:
-        return 0.0, 0.0
-    return math.nan, math.nan

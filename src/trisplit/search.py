@@ -3,33 +3,33 @@
 Two exact engines compute max over vertex subsets X (of the requested
 sizes) of the minimum out-degree of the induced subdigraph:
 
-* ``enumerate_max`` sweeps every subset of each requested size.  For
-  digraphs of at most 64 vertices the masks of one size class are
-  written into one ascending numpy array, built from the previous size
-  class, and evaluated in chunks of ``_CHUNK`` masks, small enough for
-  a chunk's scratch arrays to stay in L2.  Per vertex the kernel makes
-  in-place passes over preallocated arrays: AND with the adjacency
-  row, popcount, OR in a membership byte that makes non-members read
-  255, and a running minimum.  Every ``_PRUNE_EVERY`` vertices it
-  drops the masks whose running minimum is already below the best
-  value of the chunks of the same size reduced before it; such a mask
-  can neither win nor tie, so the witness does not change.  Larger
-  vertex counts, and size profiles where the level-by-level build
-  would cost far more than the requested evaluation, fall back to a
-  pure-Python fixed-popcount successor loop (Gosper iteration).
-* ``branch_bound_max`` proves the same maximum for one target size by
-  depth-first selection over the candidate pool with sound pruning,
-  within a node budget.
+* ``enumerate_max`` (``blocks``) sweeps every subset of each requested
+  size of a digraph of at most 64 vertices.  Each size class is one
+  ascending numpy array of masks, built from the previous class, so a
+  sweep builds every class up to its largest size and charges that
+  build to the budget.  Classes are evaluated in chunks of ``_CHUNK``
+  masks, whose scratch arrays stay in L2.  Per vertex the kernel makes
+  in-place passes: AND with the adjacency row, popcount, OR in a
+  membership byte that makes non-members read 255, running minimum.
+  Every ``_PRUNE_EVERY`` vertices it drops the masks whose running
+  minimum is already below the best value of the earlier chunks of
+  the same size; such a mask can neither win nor tie.
+* ``branch_bound_max`` (``bb``) proves the same maximum for one size,
+  on any number of vertices, by depth-first selection with sound
+  pruning, within a node budget.
 
-Both engines report a witness subset; ties are broken toward the
-subset whose increasing id tuple is lexicographically smallest, and a
-nonempty witness is preferred when the empty set ties (the empty set
-is reported only when it is the entire searched family).
-``enumerate_max`` applies the tie-break in one place: it relabels the
-digraph v -> n-1-v before sweeping, so that the lexicographically
-smallest witness becomes the numerically largest attaining mask, and
-maps each size's winning mask back once.  Pruning keeps ties, so
-results do not depend on the chunk size.
+``auto_engine`` picks ``blocks`` when the digraph has at most 64
+vertices and the mask build costs at most max(4 * the requested
+subsets, 2**22) masks, and ``bb`` otherwise.
+
+Both engines break ties toward the subset whose increasing id tuple is
+lexicographically smallest, preferring a nonempty witness when the
+empty set ties.  ``enumerate_max`` relabels the digraph v -> n-1-v, so
+that this witness becomes the numerically largest attaining mask,
+which the kernel keeps (pruning keeps ties), and maps it back once.
+``branch_bound_max`` reaches the subsets of one size in lexicographic
+order, keeps the first attainer of each new best value, and prunes
+only branches that cannot beat the current best.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .construction import check_level, level_params, ternary_tournament
+from .construction import check_level, format_count, level_params, ternary_tournament
 from .digraph import Digraph, VertexSet
 
 #: Default ceiling on the subsets, or branch-and-bound nodes, one call may visit.
@@ -55,29 +55,19 @@ _PRUNE_EVERY = 8
 
 
 class BudgetExceeded(RuntimeError):
-    """The requested family is larger than the subset budget."""
+    """A search would go past its budget.
 
-    unit = "subsets"
-
-    def __init__(self, required: int, budget: int):
-        try:
-            need = str(required)
-        except ValueError:  # past the interpreter's int-to-str digit limit
-            need = f"at least 2**{required.bit_length() - 1}"
-        super().__init__(f"search needs {need} {self.unit}, budget allows {budget}")
-        self.required = required
-        self.budget = budget
-
-
-class NodeBudgetExceeded(BudgetExceeded):
-    """Branch and bound would visit more nodes than its budget.
-
-    The node count is not known in advance: ``required`` is the
-    number of the node at which the search stopped, ``budget + 1``
-    for a budget of at least zero.
+    ``required`` counts ``unit``: requested subsets, masks the sweep
+    must build, or branch-and-bound nodes.  The node count is not known
+    in advance, so there it is the number of the node at which the
+    search stopped, ``budget + 1`` for a budget of at least zero.
     """
 
-    unit = "nodes or more"
+    def __init__(self, required: int, budget: int, unit: str = "subsets"):
+        super().__init__(f"search needs {format_count(required)} {unit}, "
+                         f"budget allows {budget}")
+        self.required = required
+        self.budget = budget
 
 
 @dataclass(frozen=True)
@@ -87,8 +77,8 @@ class SearchReport:
     ``by_size`` maps each searched size to (best value, witness) for
     that size alone; ``best_set``/``best_value`` aggregate over all of
     them.  ``exact`` is True iff the family was fully covered or
-    soundly pruned.  ``engine`` names the engine that ran: ``blocks``,
-    ``gosper`` or ``bb``.
+    soundly pruned.  ``engine`` names the engine that ran: ``blocks``
+    or ``bb``.
     """
 
     best_set: VertexSet
@@ -121,36 +111,39 @@ def subset_count(n: int, sizes: Iterable[int]) -> int:
     return sum(math.comb(n, m) for m in sizes)
 
 
-def fixed_popcount_masks(n: int, m: int):
-    """Yield all n-bit masks of popcount m in increasing numeric order.
-
-    Constant amortized work per mask: the next mask is computed from
-    the current one with the classic carry/ripple successor.
-    """
-    if m == 0:
-        yield 0
-        return
-    if m > n:
-        return
-    x = (1 << m) - 1
-    limit = 1 << n
-    while x < limit:
-        yield x
-        low = x & -x
-        ripple = x + low
-        x = ripple | (((x ^ ripple) >> 2) // low)
-
-
-def _normalize_sizes(n: int, sizes) -> tuple[int, ...]:
+def _requested(n: int, sizes, budget: int) -> tuple[tuple[int, ...], int]:
+    """Sorted distinct sizes and their subset count, refused past ``budget``."""
     if isinstance(sizes, int):
         sizes = [sizes]
-    out = sorted(set(int(m) for m in sizes))
+    out = tuple(sorted(set(int(m) for m in sizes)))
     if not out:
         raise ValueError("no subset sizes requested")
     for m in out:
         if not 0 <= m <= n:
             raise ValueError(f"subset size {m} out of range for n={n}")
-    return tuple(out)
+    required = subset_count(n, out)
+    if required > budget:
+        raise BudgetExceeded(required, budget)
+    return out, required
+
+
+def _build_cost(n: int, sizes: tuple[int, ...]) -> int:
+    """Masks the sweep builds: every size class up to the largest size."""
+    return subset_count(n, range(max(sizes) + 1))
+
+
+def auto_engine(n: int, size: int, budget: int = DEFAULT_BUDGET) -> str:
+    """The engine ``search --engine auto`` runs at one subset size.
+
+    ``blocks`` when the digraph has at most 64 vertices and the mask
+    build costs at most max(4 * the requested subsets, 2**22) masks,
+    ``bb`` otherwise.  A size out of range, or more than ``budget``
+    requested subsets, is refused as :func:`enumerate_max` refuses it.
+    """
+    sizes, required = _requested(n, size, budget)
+    if n <= 64 and _build_cost(n, sizes) <= max(4 * required, 1 << 22):
+        return "blocks"
+    return "bb"
 
 
 def _reverse(mask: int, n: int) -> int:
@@ -199,6 +192,24 @@ def _eval_chunk(masks: np.ndarray, adj: np.ndarray, n: int, bound: int,
     return vmax, int(masks[low == vmax].max())
 
 
+def _size_classes(n: int, top: int, dtype):
+    """Yield (m, every n-bit mask of popcount m, ascending) for m = 1..top.
+
+    Each class is built from the one before it: the masks with highest
+    bit h are the size-(m-1) masks below h, plus h.
+    """
+    prev = np.zeros(1, dtype=dtype)  # the single size-0 mask
+    for m in range(1, top + 1):
+        cur = np.empty(math.comb(n, m), dtype=dtype)
+        lo = 0
+        for h in range(m - 1, n):
+            c = math.comb(h, m - 1)
+            np.bitwise_or(prev[:c], dtype(1 << h), out=cur[lo:lo + c])
+            lo += c
+        yield m, cur
+        prev = cur
+
+
 def _blocks_by_size(digraph: Digraph,
                     sizes: tuple[int, ...]) -> dict[int, tuple[int, int]]:
     """(best value, largest mask attaining it) per size, vectorized.
@@ -209,103 +220,52 @@ def _blocks_by_size(digraph: Digraph,
     n = digraph.n
     dtype = np.uint32 if n <= 32 else np.uint64
     adj = np.array(digraph.rows, dtype=dtype)
-    wanted = set(sizes)
     out: dict[int, tuple[int, int]] = {}
-    if 0 in wanted:
+    if 0 in sizes:
         out[0] = (0, 0)
     # _eval_chunk's scratch, shared by every chunk of the call
     buffers = (np.empty(_CHUNK, dtype), np.empty(_CHUNK, dtype),
                *(np.empty(_CHUNK, np.uint8) for _ in range(4)),
                np.empty(_CHUNK, bool))
-    prev = np.zeros(1, dtype=dtype)  # the single size-0 mask
-    for m in range(1, max(sizes) + 1):
-        # masks with highest bit h are the size-(m-1) masks below h, plus h
-        cur = np.empty(math.comb(n, m), dtype=dtype)
-        lo = 0
-        for h in range(m - 1, n):
-            c = math.comb(h, m - 1)
-            np.bitwise_or(prev[:c], dtype(1 << h), out=cur[lo:lo + c])
-            lo += c
-        if m in wanted:
+    for m, masks in _size_classes(n, max(sizes), dtype):
+        if m in sizes:
             best = (-1, 0)
-            for start in range(0, len(cur), _CHUNK):
-                best = max(best, _eval_chunk(cur[start:start + _CHUNK], adj, n,
+            for start in range(0, len(masks), _CHUNK):
+                best = max(best, _eval_chunk(masks[start:start + _CHUNK], adj, n,
                                              best[0], buffers))
             out[m] = best
-        prev = cur
-    return out
-
-
-def _gosper_by_size(digraph: Digraph,
-                    sizes: tuple[int, ...]) -> dict[int, tuple[int, int]]:
-    """(best value, largest mask attaining it) per size, for any n."""
-    n = digraph.n
-    rows = digraph.rows
-    out: dict[int, tuple[int, int]] = {}
-    for m in sizes:
-        if m == 0:
-            out[0] = (0, 0)
-            continue
-        best_v, best_mask = -1, 0
-        for mask in fixed_popcount_masks(n, m):
-            rest = mask
-            d = n
-            while rest:
-                low = rest & -rest
-                c = (rows[low.bit_length() - 1] & mask).bit_count()
-                if c < d:
-                    d = c
-                rest ^= low
-            if d >= best_v:  # masks ascend, so the last attainer is the largest
-                best_v, best_mask = d, mask
-        out[m] = (best_v, best_mask)
     return out
 
 
 def _combine_sizes(by_size: dict[int, tuple[int, VertexSet]]) -> tuple[int, VertexSet]:
     best_value = max(v for v, _ in by_size.values())
-    witnesses = [w for v, w in by_size.values() if v == best_value]
-    nonempty = [w.ids() for w in witnesses if len(w)]
-    if nonempty:
-        ids = min(nonempty)
-        owner = witnesses[0].owner_n
-        return best_value, VertexSet.from_ids(ids, owner)
-    return best_value, witnesses[0]
+    # nonempty witnesses first, then the smallest id tuple
+    return best_value, min((w for v, w in by_size.values() if v == best_value),
+                           key=lambda w: (not w.bits, w.ids()))
 
 
-def enumerate_max(digraph: Digraph, sizes, budget: int = DEFAULT_BUDGET,
-                  engine: str = "auto") -> SearchReport:
+def enumerate_max(digraph: Digraph, sizes, budget: int = DEFAULT_BUDGET) -> SearchReport:
     """Exhaustive maximum of min-out-degree over the given subset sizes.
 
-    ``sizes`` is a single size or an iterable of sizes.  Refuses with
-    :class:`BudgetExceeded` when the family holds more than ``budget``
-    subsets (the estimate is computed before any enumeration).
+    ``sizes`` is a single size or an iterable of sizes, and the digraph
+    has at most 64 vertices.  Refuses with :class:`BudgetExceeded`,
+    before any enumeration, when the family or the mask build (every
+    size class up to the largest size) holds more than ``budget``
+    subsets.  ``nodes_visited`` counts the requested subsets only.
     """
     t0 = time.perf_counter()
     n = digraph.n
-    sizes = _normalize_sizes(n, sizes)
-    required = subset_count(n, sizes)
-    if required > budget:
-        raise BudgetExceeded(required, budget)
-    if engine == "auto":
-        build_cost = sum(math.comb(n, i) for i in range(max(sizes) + 1))
-        if n <= 64 and build_cost <= max(4 * required, 1 << 22):
-            engine = "blocks"
-        else:
-            engine = "gosper"
+    sizes, required = _requested(n, sizes, budget)
+    if n > 64:
+        raise ValueError("blocks engine requires at most 64 vertices")
+    build = _build_cost(n, sizes)
+    if build > budget:
+        raise BudgetExceeded(build, budget, "masks to build")
     # under v -> n-1-v the id-lexicographically smallest witness is the
-    # numerically largest attaining mask, which both engines keep
+    # numerically largest attaining mask, which the sweep keeps
     flipped = Digraph(n, [_reverse(row, n) for row in reversed(digraph.rows)])
-    if engine == "blocks":
-        if n > 64:
-            raise ValueError("blocks engine requires at most 64 vertices")
-        raw = _blocks_by_size(flipped, sizes)
-    elif engine == "gosper":
-        raw = _gosper_by_size(flipped, sizes)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
     by_size = {m: (value, VertexSet(_reverse(mask, n), n))
-               for m, (value, mask) in raw.items()}
+               for m, (value, mask) in _blocks_by_size(flipped, sizes).items()}
     best_value, best_set = _combine_sizes(by_size)
     return SearchReport(
         best_set=best_set,
@@ -314,7 +274,7 @@ def enumerate_max(digraph: Digraph, sizes, budget: int = DEFAULT_BUDGET,
         pruned=0,
         exact=True,
         elapsed=time.perf_counter() - t0,
-        engine=engine,
+        engine="blocks",
         by_size=by_size,
     )
 
@@ -338,7 +298,7 @@ def branch_bound_max(digraph: Digraph, target_size: int, prune: bool = True,
 
     With ``prune=False`` only the structural feasibility check remains
     and every size-m subset is visited; the best value is unchanged.
-    Raises :class:`NodeBudgetExceeded` when the search is about to
+    Raises :class:`BudgetExceeded` when the search is about to
     visit node ``budget + 1``.
     """
     n = digraph.n
@@ -353,7 +313,7 @@ def branch_bound_max(digraph: Digraph, target_size: int, prune: bool = True,
     while stack:
         sel, pool, nsel = stack.pop()
         if visited >= budget:
-            raise NodeBudgetExceeded(visited + 1, budget)
+            raise BudgetExceeded(visited + 1, budget, "nodes or more")
         visited += 1
         if nsel == target_size:
             rest, val = sel, n if sel else 0  # the empty set scores 0

@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 
 from trisplit import (
     Digraph,
+    SplitMix64,
     punctured_tournament,
     read_digraph,
     ternary_tournament,
     write_digraph,
 )
 from trisplit.cli import run
+
+from naive import naive_max_over_sizes, random_digraph
 
 
 def invoke(capsys, argv, stdin=None, monkeypatch=None):
@@ -114,7 +117,7 @@ class TestSearch:
         p = tmp_path / "tri.dg"
         p.write_text("3\n010\n001\n100\n")
         outs = {}
-        for engine in ("auto", "blocks", "gosper", "bb"):
+        for engine in ("auto", "blocks", "bb"):
             code, out, _ = invoke(capsys, ["search", "--input", str(p),
                                            "--size", "2", "--engine", engine])
             assert code == 0
@@ -128,11 +131,25 @@ class TestSearch:
         assert code == 0
         assert "engine      blocks" in out.splitlines()
         assert out.splitlines()[-1] == "RESULT max=1 set=0,1,2 exact=true visited=1"
-        cycle = Digraph.from_arcs(70, [(i, (i + 1) % 70) for i in range(70)])
-        p.write_text(write_digraph(cycle))
-        code, out, _ = invoke(capsys, ["search", "--input", str(p), "--size", "1"])
-        assert code == 0
-        assert "engine      gosper" in out.splitlines()
+
+    def test_auto_runs_bb_past_64_vertices(self, capsys, tmp_path):
+        arcs = random_digraph(SplitMix64(70), 70)
+        p = tmp_path / "seventy.dg"
+        p.write_text(write_digraph(Digraph.from_arcs(70, sorted(arcs))))
+        code, out, err = invoke(capsys, ["search", "--input", str(p), "--size", "2"])
+        assert code == 0 and err == ""
+        assert "engine      bb" in out.splitlines()
+        value, witness = naive_max_over_sizes(arcs, 70, [2])
+        assert out.splitlines()[-1].startswith(
+            f"RESULT max={value} set={','.join(map(str, witness))} exact=true ")
+
+    def test_blocks_mask_build_honours_budget(self, capsys, tmp_path):
+        p = tmp_path / "twelve.dg"
+        p.write_text(write_digraph(Digraph.from_arcs(12, [(i, (i + 1) % 12) for i in range(12)])))
+        code, out, err = invoke(capsys, ["search", "--input", str(p), "--size", "11",
+                                         "--engine", "blocks", "--budget", "100"])
+        assert code == 2 and out == ""
+        assert err == "search: search needs 4095 masks to build, budget allows 100\n"
 
     def test_bb_honours_budget(self, capsys, tmp_path):
         p = tmp_path / "five.dg"
@@ -205,16 +222,14 @@ class TestTable:
         assert lines[3].startswith("3,13,12,5,1,1,2.26")
         assert err == ""
 
-    def test_curves_are_extra_columns_with_note(self, capsys):
-        code, out, err = invoke(capsys, ["table", "--kmax", "2", "--curves"])
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "k,n,s,bound,gap_num,gap_den,log3_s,ref_log,ref_sqrt"
-        assert "reference shape only" in err
-
     def test_zero_rows_rejected(self, capsys):
         code, _, err = invoke(capsys, ["table", "--kmax", "0"])
         assert code == 2 and err
+
+    def test_unprintable_rows_refused_up_front(self, capsys):
+        code, out, err = invoke(capsys, ["table", "--kmax", "10000"])
+        assert code == 2 and out == ""
+        assert err == "table: k_max must be <= 9000, got 10000\n"
 
 
 class TestDispatch:
@@ -234,6 +249,8 @@ class TestDispatch:
         ["verify", "--threads", "2", "--k", "2"],
         ["search", "--input", "-", "--size", "1", "--threads", "2"],
         ["generate", "--k", "1", "--max-vertices", "9"],
+        ["search", "--input", "-", "--size", "1", "--engine", "gosper"],
+        ["table", "--kmax", "2", "--curves"],
     ])
     def test_removed_flags_are_usage_errors(self, capsys, argv):
         code, out, _ = invoke(capsys, argv)
@@ -248,6 +265,17 @@ class TestDispatch:
         code, out, err = invoke(capsys, argv)
         assert code == 2 and out == ""
         assert err == f"{argv[0]}: level {argv[2]} needs {3 ** int(argv[2])} vertices, " \
+                      "limit is 59049\n"
+
+    @pytest.mark.parametrize("argv, bits", [
+        (["verify", "--k", "10000"], 15849),
+        (["certify", "--k", "100000", "--set", "0"], 158496),
+    ])
+    def test_level_past_the_digit_limit_refused(self, capsys, argv, bits):
+        # 3**level has more decimal digits than the interpreter prints
+        code, out, err = invoke(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == f"{argv[0]}: level {argv[2]} needs at least 2**{bits} vertices, " \
                       "limit is 59049\n"
 
     def test_generate_pipes_into_search(self, capsys, monkeypatch):

@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 
 from trisplit import (
     Digraph,
-    GapRow,
     SplitMix64,
     gap_table,
     level_params,
     mix64,
     punctured_tournament,
     random_balanced_split,
-    reference_curves,
     split_experiment,
     substream_seed,
 )
@@ -166,13 +164,7 @@ class TestGapTable:
         with pytest.raises(ValueError):
             gap_table(0)
 
-    def test_reference_curves_shapes(self):
-        rows = gap_table(3)
-        lo, hi = reference_curves(rows[2])
-        assert lo == pytest.approx(math.log(12, 3))
-        assert hi == pytest.approx(math.sqrt(12 * math.log(12, 3)))
-        nan_lo, nan_hi = reference_curves(rows[0])
-        assert math.isnan(nan_lo) and math.isnan(nan_hi)
-        unit = GapRow(k=0, n=0, s=1, bound=0, gap_exact=Fraction(0),
-                      log3_s=0.0)
-        assert reference_curves(unit) == (0.0, 0.0)
+    def test_rejects_unprintable_table(self):
+        assert gap_table(9000)[-1].k == 9000
+        with pytest.raises(ValueError, match="k_max must be <= 9000, got 9001"):
+            gap_table(9001)

@@ -3,6 +3,7 @@
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,12 +17,12 @@ from trisplit import (
     VertexSet,
     branch_bound_max,
     enumerate_max,
-    fixed_popcount_masks,
     punctured_tournament,
     subset_count,
     ternary_tournament,
     verify_bound,
 )
+from trisplit.search import _size_classes, auto_engine
 
 from naive import naive_max_over_sizes, random_digraph, random_tournament
 
@@ -31,17 +32,20 @@ def from_arcset(arcs, n):
 
 
 class TestMaskIteration:
+    """The sweep's mask build: one ascending array per size class."""
+
     @pytest.mark.parametrize("n", range(0, 11))
     def test_matches_combinations(self, n):
-        for m in range(n + 1):
-            ref = [sum(1 << i for i in combo)
-                   for combo in combinations(range(n), m)]
-            got = list(fixed_popcount_masks(n, m))
-            assert got == sorted(ref) == sorted(got)
+        classes = list(_size_classes(n, n, np.uint32))
+        assert [m for m, _ in classes] == list(range(1, n + 1))
+        for m, masks in classes:
+            ref = sorted(sum(1 << i for i in combo)
+                         for combo in combinations(range(n), m))
+            assert masks.tolist() == ref
 
     def test_size_zero_and_overfull(self):
-        assert list(fixed_popcount_masks(5, 0)) == [0]
-        assert list(fixed_popcount_masks(3, 4)) == []
+        assert list(_size_classes(5, 0, np.uint32)) == []
+        assert [len(masks) for _, masks in _size_classes(3, 4, np.uint32)] == [3, 3, 1, 0]
 
     def test_counts(self):
         assert subset_count(10, range(4)) == 1 + 10 + 45 + 120
@@ -81,21 +85,26 @@ class TestEnumerate:
             enumerate_max(t1, 4)
         with pytest.raises(ValueError):
             enumerate_max(t1, [])
-        with pytest.raises(ValueError):
-            enumerate_max(t1, 1, engine="warp")
+
+    def test_mask_build_is_charged_to_the_budget(self):
+        # 12 subsets of size 11 requested, but the sweep builds every
+        # size class below it: 2**12 - 1 masks
+        d = Digraph.from_arcs(12, [(i, (i + 1) % 12) for i in range(12)])
+        with pytest.raises(BudgetExceeded) as exc:
+            enumerate_max(d, 11, budget=100)
+        assert (exc.value.required, exc.value.budget) == (4095, 100)
+        assert str(exc.value) == "search needs 4095 masks to build, budget allows 100"
+        r = enumerate_max(d, 11, budget=4095)
+        assert (r.best_value, r.nodes_visited) == (0, 12)
 
     def test_engines_agree_including_witness(self):
         rng = SplitMix64(20260817)
         for trial in range(25):
             n = 2 + rng.next_below(8)
-            arcs = random_digraph(rng, n)
-            d = from_arcset(arcs, n)
-            sizes = range(n + 1)
-            a = enumerate_max(d, sizes, engine="blocks")
-            b = enumerate_max(d, sizes, engine="gosper")
-            assert a.best_value == b.best_value
-            assert a.best_set == b.best_set
-            assert a.by_size == b.by_size
+            d = from_arcset(random_digraph(rng, n), n)
+            sweep = enumerate_max(d, range(n + 1))
+            for m in range(n + 1):
+                assert branch_bound_max(d, m).by_size[m] == sweep.by_size[m]
 
     def test_matches_naive_oracle(self):
         rng = SplitMix64(7)
@@ -127,16 +136,40 @@ class TestEnumerate:
     def test_engine_is_recorded(self):
         tri = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
         assert enumerate_max(tri, 2).engine == "blocks"
-        assert enumerate_max(tri, 2, engine="gosper").engine == "gosper"
         assert branch_bound_max(tri, 2).engine == "bb"
 
-    def test_gosper_handles_more_than_64_vertices(self):
+    def test_sweep_needs_at_most_64_vertices(self):
         d = Digraph.from_arcs(70, [(i, (i + 1) % 70) for i in range(70)])
-        r = enumerate_max(d, 2)
-        assert r.best_value == 0
-        assert r.nodes_visited == comb(70, 2)
-        with pytest.raises(ValueError):
-            enumerate_max(d, 2, engine="blocks")
+        with pytest.raises(ValueError, match="at most 64 vertices"):
+            enumerate_max(d, 2)
+        r = branch_bound_max(d, 2)
+        assert (r.best_value, r.best_set.ids()) == (0, (0, 1))
+
+
+class TestAutoEngine:
+    def test_sweep_where_its_mask_build_is_cheap(self):
+        assert auto_engine(3, 2) == "blocks"
+        assert auto_engine(22, 13) == "blocks"
+        assert auto_engine(27, 13) == "blocks"
+        assert auto_engine(64, 3) == "blocks"
+
+    def test_branch_and_bound_elsewhere(self):
+        assert auto_engine(65, 1) == "bb"
+        assert auto_engine(28, 27) == "bb"
+        assert auto_engine(40, 37) == "bb"
+
+    def test_build_cost_boundary(self):
+        # every size class of 22 vertices: exactly 2**22 masks
+        assert auto_engine(22, 22) == "blocks"
+        # 2**23 - 1 masks for 23 requested subsets
+        assert auto_engine(23, 22) == "bb"
+
+    def test_refuses_as_the_sweep_does(self):
+        with pytest.raises(ValueError, match="subset size 71 out of range for n=70"):
+            auto_engine(70, 71)
+        with pytest.raises(BudgetExceeded) as exc:
+            auto_engine(70, 5, budget=100)
+        assert exc.value.required == comb(70, 5)
 
 
 class TestBranchBound:
@@ -249,14 +282,12 @@ class TestVerify:
 
 
 def assert_blocks_kernel_exact(d, arcs, sizes, chunk):
-    """Blocks engine at a given chunk size against the gosper engine and
-    the naive oracle, per size, witnesses included."""
+    """The sweep at a given chunk size against the naive oracle, per
+    size and over all sizes, witnesses included."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trisplit.search, "_CHUNK", chunk)
-        got = enumerate_max(d, sizes, engine="blocks")
-    want = enumerate_max(d, sizes, engine="gosper")
-    assert got.by_size == want.by_size
-    assert (got.best_value, got.best_set) == (want.best_value, want.best_set)
+        got = enumerate_max(d, sizes)
+    assert (got.best_value, got.best_set.ids()) == naive_max_over_sizes(arcs, d.n, sizes)
     for m in sizes:
         value, witness = naive_max_over_sizes(arcs, d.n, [m])
         assert got.by_size[m][0] == value
@@ -294,3 +325,18 @@ def test_enumerate_property_against_naive(seed, n):
     got = enumerate_max(d, sizes)
     assert got.best_value == want_v
     assert got.best_set.ids() == want_w
+
+
+@pytest.mark.parametrize("prune", [True, False])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32),
+       n=st.integers(min_value=1, max_value=10),
+       density=st.integers(min_value=0, max_value=4))
+def test_branch_bound_witness_is_lexicographically_smallest(prune, seed, n, density):
+    # density 0 draws a tournament, so the ceiling stop is exercised too
+    rng = SplitMix64(seed)
+    arcs = random_tournament(rng, n) if density == 0 else random_digraph(rng, n, density, 4)
+    d = from_arcset(arcs, n)
+    for m in range(n + 1):
+        r = branch_bound_max(d, m, prune=prune)
+        assert (r.best_value, r.best_set.ids()) == naive_max_over_sizes(arcs, n, [m])
