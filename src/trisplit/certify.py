@@ -48,8 +48,8 @@ class BoundCertificate:
     """One node of the recursion trace.
 
     ``subset`` is expressed in the coordinates of its own level, i.e.
-    as a subset of 0..3**level-1.  ``chosen`` (two_large only) and the
-    child's subset live at level-1 coordinates.
+    as a subset of 0..3**level-1; the child's subset lives at level-1
+    coordinates.  For two_large it is the chosen size-t subset S.
     """
 
     kind: str
@@ -57,7 +57,6 @@ class BoundCertificate:
     subset: VertexSet
     claimed_bound: int
     rotation: Optional[int] = None
-    chosen: Optional[VertexSet] = None
     child: Optional["BoundCertificate"] = None
 
     def replay(self) -> int:
@@ -110,12 +109,9 @@ class BoundCertificate:
             if x_a < t + 1 or x_b < t + 1:
                 raise ValueError("two_large hypothesis violated")
             local_b = _local_part(parts[(1 + r) % 3], (1 + r) % 3, third)
-            if self.chosen is None or len(self.chosen) != t:
-                raise ValueError("two_large must choose a size-t subset")
-            if self.chosen.bits & ~local_b.bits:
-                raise ValueError("chosen subset is not inside the second part")
-            if self.child.subset != self.chosen:
-                raise ValueError("child subset differs from the chosen subset")
+            chosen = self.child.subset
+            if len(chosen) != t or chosen.owner_n != third or chosen.bits & ~local_b.bits:
+                raise ValueError("two_large child is not a size-t subset of the second part")
             return child_bound + (x_b - t) + x_c
         raise ValueError(f"unknown certificate kind {self.kind!r}")
 
@@ -134,7 +130,7 @@ class BoundCertificate:
         parts = partition_parts(self.subset, self.level)
         r = self.rotation
         sizes = tuple(len(parts[(i + r) % 3]) for i in range(3))
-        extra = f" |S|={len(self.chosen)}" if self.kind == TWO_LARGE else ""
+        extra = f" |S|={len(self.child.subset)}" if self.kind == TWO_LARGE else ""
         lines.append(
             f"{pad}{self.kind} r={r} level={self.level} |X|={len(self.subset)} "
             f"parts={sizes}{extra} bound={self.claimed_bound}"
@@ -222,7 +218,7 @@ def _certify(level: int, subset: VertexSet) -> tuple[int, BoundCertificate]:
             child_bound, child = _certify(level - 1, chosen)
             bound = child_bound + (x_b - t) + x_c
             cert = BoundCertificate(TWO_LARGE, level, subset, bound,
-                                    rotation=r, chosen=chosen, child=child)
+                                    rotation=r, child=child)
             return bound, cert
     raise AssertionError("unreachable: pigeonhole guarantees a case")
 

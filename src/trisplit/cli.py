@@ -218,10 +218,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except BudgetExceeded as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (BudgetExceeded, ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
 

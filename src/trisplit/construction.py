@@ -27,8 +27,13 @@ from dataclasses import dataclass
 
 from .digraph import Digraph
 
+#: Largest level construction builds.
+MAX_LEVEL = 10
 #: Construction refuses digraphs larger than this (dense matrix memory).
-DEFAULT_MAX_VERTICES = 3 ** 10
+DEFAULT_MAX_VERTICES = 3 ** MAX_LEVEL
+#: log2(3) * 10**40 rounded down: level * _LOG2_3 // 10**40 is at most,
+#: and in the tests equal to, the bit length of 3**level minus one.
+_LOG2_3 = 15849625007211561814537389439478165087598
 
 
 @dataclass(frozen=True)
@@ -105,11 +110,18 @@ def format_count(count: int) -> str:
 
 
 def check_level(level: int) -> None:
-    """Refuse a level whose tournament would exceed ``DEFAULT_MAX_VERTICES``."""
+    """Refuse a level whose tournament would exceed ``DEFAULT_MAX_VERTICES``.
+
+    The level is compared against ``MAX_LEVEL`` first, and past level
+    20000 the message names 3**level by its bit count without computing
+    it, so every refusal takes bounded time.
+    """
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
-    if 3 ** level > DEFAULT_MAX_VERTICES:
-        raise ValueError(f"level {level} needs {format_count(3 ** level)} vertices, "
+    if level > MAX_LEVEL:
+        order = (format_count(3 ** level) if level <= 20000
+                 else f"at least 2**{level * _LOG2_3 // 10 ** 40}")
+        raise ValueError(f"level {level} needs {order} vertices, "
                          f"limit is {DEFAULT_MAX_VERTICES}")
 
 

@@ -6,8 +6,8 @@ arbitrary-width rows, so out-degree queries over a vertex subset reduce
 to a single AND plus popcount, which is the hot operation of every
 search in this package.
 
-Digraph and VertexSet are immutable after construction: all queries are
-pure and safe under concurrent shared reads.
+Digraph and VertexSet are frozen dataclasses: all queries are pure and
+safe under concurrent shared reads.
 """
 
 from __future__ import annotations
@@ -84,16 +84,30 @@ class VertexSet:
         return f"VertexSet({{{','.join(map(str, self))}}}, n={self.owner_n})"
 
 
+def subset_min_degree(rows: tuple[int, ...], bits: int) -> int:
+    """min over members v of ``bits`` of |rows[v] & bits|; 0 when empty."""
+    best = len(rows) if bits else 0
+    rest = bits
+    while rest:
+        low = rest & -rest
+        d = (rows[low.bit_length() - 1] & bits).bit_count()
+        if d < best:
+            best = d
+            if best == 0:
+                break
+        rest ^= low
+    return best
+
+
+@dataclass(frozen=True, slots=True, repr=False)
 class Digraph:
     """Immutable loop-free digraph with one bitmask row per vertex."""
-
-    __slots__ = ("n", "rows")
 
     n: int
     rows: tuple[int, ...]
 
-    def __init__(self, n: int, rows: Iterable[int]):
-        rows = tuple(rows)
+    def __post_init__(self) -> None:
+        n, rows = self.n, tuple(self.rows)  # rows may be any iterable of ints
         if n < 0:
             raise ValueError(f"negative vertex count {n}")
         if len(rows) != n:
@@ -103,11 +117,7 @@ class Digraph:
                 raise ValueError(f"row {u} has bits outside 0..{n - 1}")
             if (row >> u) & 1:
                 raise ValueError(f"self-loop at vertex {u}")
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("Digraph is immutable")
 
     @classmethod
     def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "Digraph":
@@ -117,12 +127,6 @@ class Digraph:
                 raise ValueError(f"arc ({u},{v}) out of range for n={n}")
             rows[u] |= 1 << v
         return cls(n, rows)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Digraph) and self.n == other.n and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.rows))
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, arcs={self.arc_count()})"
@@ -162,21 +166,7 @@ class Digraph:
         if subset is None:
             subset = self.full_set()
         self._check_set(subset)
-        bits = subset.bits
-        if bits == 0:
-            return 0
-        best = self.n
-        rows = self.rows
-        rest = bits
-        while rest:
-            low = rest & -rest
-            d = (rows[low.bit_length() - 1] & bits).bit_count()
-            if d < best:
-                best = d
-                if best == 0:
-                    break
-            rest ^= low
-        return best
+        return subset_min_degree(self.rows, subset.bits)
 
     def induced(self, subset: VertexSet) -> "Digraph":
         """Subdigraph induced by ``subset``, relabeled by increasing id."""

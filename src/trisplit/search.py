@@ -18,9 +18,8 @@ sizes) of the minimum out-degree of the induced subdigraph:
   on any number of vertices, by depth-first selection with sound
   pruning, within a node budget.
 
-``auto_engine`` picks ``blocks`` when the digraph has at most 64
-vertices and the mask build costs at most max(4 * the requested
-subsets, 2**22) masks, and ``bb`` otherwise.
+``auto_engine`` only chooses: ``blocks`` where the sweep runs within
+the budget and its mask build is cheap, ``bb`` otherwise.
 
 Both engines break ties toward the subset whose increasing id tuple is
 lexicographically smallest, preferring a nonempty witness when the
@@ -37,12 +36,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import ClassVar, Iterable
 
 import numpy as np
 
 from .construction import check_level, format_count, level_params, ternary_tournament
-from .digraph import Digraph, VertexSet
+from .digraph import Digraph, VertexSet, subset_min_degree
 
 #: Default ceiling on the subsets, or branch-and-bound nodes, one call may visit.
 DEFAULT_BUDGET = 1 << 27
@@ -76,18 +75,19 @@ class SearchReport:
 
     ``by_size`` maps each searched size to (best value, witness) for
     that size alone; ``best_set``/``best_value`` aggregate over all of
-    them.  ``exact`` is True iff the family was fully covered or
-    soundly pruned.  ``engine`` names the engine that ran: ``blocks``
-    or ``bb``.
+    them.  Both engines are exact, so ``exact`` is a class constant.
+    ``engine`` names the engine that ran: ``blocks`` or ``bb``;
+    ``pruned`` counts the branches that branch and bound cut.
     """
+
+    exact: ClassVar[bool] = True
 
     best_set: VertexSet
     best_value: int
     nodes_visited: int
-    pruned: int
-    exact: bool
     elapsed: float
     engine: str
+    pruned: int = 0
     by_size: dict[int, tuple[int, VertexSet]] = field(default_factory=dict)
 
 
@@ -135,13 +135,12 @@ def _build_cost(n: int, sizes: tuple[int, ...]) -> int:
 def auto_engine(n: int, size: int, budget: int = DEFAULT_BUDGET) -> str:
     """The engine ``search --engine auto`` runs at one subset size.
 
-    ``blocks`` when the digraph has at most 64 vertices and the mask
-    build costs at most max(4 * the requested subsets, 2**22) masks,
-    ``bb`` otherwise.  A size out of range, or more than ``budget``
-    requested subsets, is refused as :func:`enumerate_max` refuses it.
+    ``blocks`` iff n <= 64, 0 <= size <= n and the mask build costs at
+    most min(budget, max(4 * C(n, size), 2**22)) masks; else ``bb``,
+    which refuses by its own rules.  Never raises.
     """
-    sizes, required = _requested(n, size, budget)
-    if n <= 64 and _build_cost(n, sizes) <= max(4 * required, 1 << 22):
+    if n <= 64 and 0 <= size <= n and _build_cost(n, (size,)) <= min(
+            budget, max(4 * math.comb(n, size), 1 << 22)):
         return "blocks"
     return "bb"
 
@@ -271,15 +270,13 @@ def enumerate_max(digraph: Digraph, sizes, budget: int = DEFAULT_BUDGET) -> Sear
         best_set=best_set,
         best_value=best_value,
         nodes_visited=required,
-        pruned=0,
-        exact=True,
         elapsed=time.perf_counter() - t0,
         engine="blocks",
         by_size=by_size,
     )
 
 
-def branch_bound_max(digraph: Digraph, target_size: int, prune: bool = True,
+def branch_bound_max(digraph: Digraph, target_size: int,
                      budget: int = DEFAULT_BUDGET) -> SearchReport:
     """Exact maximum over subsets of exactly ``target_size`` vertices.
 
@@ -291,19 +288,17 @@ def branch_bound_max(digraph: Digraph, target_size: int, prune: bool = True,
       least (m-1)//2 times inside it, so the search stops once the
       running best reaches floor((m-1)/2) (m-1 for general digraphs);
     * potential: a vertex's out-degree into selected-plus-candidates
-      bounds its final in-set out-degree, so a branch dies when any
-      selected vertex cannot reach best+1;
-    * peeling: candidates whose potential cannot reach best+1 are
-      dropped, iterated to a fixpoint.
+      bounds its final in-set out-degree.  One pass over both, iterated
+      to a fixpoint, drops each candidate whose potential cannot reach
+      best+1, and kills the branch once a selected vertex's cannot;
+    * size: a branch dies when too few candidates remain.
 
-    With ``prune=False`` only the structural feasibility check remains
-    and every size-m subset is visited; the best value is unchanged.
-    Raises :class:`BudgetExceeded` when the search is about to
-    visit node ``budget + 1``.
+    Raises :class:`BudgetExceeded` when the search is about to visit
+    node ``budget + 1``.
     """
     n = digraph.n
     if not 0 <= target_size <= n:
-        raise ValueError(f"target size {target_size} out of range for n={n}")
+        raise ValueError(f"subset size {target_size} out of range for n={n}")
     t0 = time.perf_counter()
     rows = digraph.rows
     ceiling = (target_size - 1) // 2 if digraph.is_tournament() else target_size - 1
@@ -316,43 +311,28 @@ def branch_bound_max(digraph: Digraph, target_size: int, prune: bool = True,
             raise BudgetExceeded(visited + 1, budget, "nodes or more")
         visited += 1
         if nsel == target_size:
-            rest, val = sel, n if sel else 0  # the empty set scores 0
-            while rest:
-                low = rest & -rest
-                d = (rows[low.bit_length() - 1] & sel).bit_count()
-                if d < val:
-                    val = d
-                rest ^= low
+            val = subset_min_degree(rows, sel)
             if val > best:
                 best, best_mask = val, sel
                 if val >= ceiling:
                     break
             continue
-        if prune:
-            # peel unreachable candidates to a fixpoint
-            while True:
-                union = sel | pool
-                dropped = False
-                rest = pool
-                while rest:
-                    low = rest & -rest
-                    if (rows[low.bit_length() - 1] & union).bit_count() <= best:
-                        pool ^= low
-                        dropped = True
-                    rest ^= low
-                if not dropped:
-                    break
-            union = sel | pool
-            rest = sel
+        # one potential pass per round, to a fixpoint; a selected vertex
+        # below best+1 leaves ``rest`` nonzero and kills the branch
+        union = sel | pool
+        while True:
+            rest = union
             while rest:
                 low = rest & -rest
                 if (rows[low.bit_length() - 1] & union).bit_count() <= best:
-                    break
+                    if low & sel:
+                        break
+                    pool ^= low
                 rest ^= low
-            if rest:
-                pruned += 1
-                continue
-        if pool.bit_count() < target_size - nsel:
+            if rest or union == sel | pool:
+                break
+            union = sel | pool
+        if rest or pool.bit_count() < target_size - nsel:
             pruned += 1
             continue
         low = pool & -pool
@@ -364,7 +344,6 @@ def branch_bound_max(digraph: Digraph, target_size: int, prune: bool = True,
         best_value=best,
         nodes_visited=visited,
         pruned=pruned,
-        exact=True,
         elapsed=time.perf_counter() - t0,
         engine="bb",
         by_size={target_size: (best, best_set)},

@@ -1,9 +1,10 @@
 """The benchmark's traced layers and CLI hooks exist in the package.
 
 ``bench/tracing.py`` patches the functions named in its ``TRACED`` list,
-and ``bench/run.py`` writes its inputs through ``trisplit.cli``.  A
-rename or deletion in the package would break the benchmark only when
-it runs; these checks catch it with the test suite.
+reads its counts off the results' attributes, and ``bench/run.py``
+writes its inputs through ``trisplit.cli``.  A rename or deletion in
+the package would break the benchmark only when it runs; these checks
+catch it with the test suite.
 """
 
 import importlib
@@ -12,6 +13,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from trisplit import (VertexSet, branch_bound_max, certify_bound, enumerate_max,
+                      punctured_tournament, split_experiment)
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -36,3 +40,24 @@ def test_cli_exposes_input_writers():
     cli = importlib.import_module("trisplit.cli")
     assert callable(cli.run)
     assert callable(cli.Digraph) and callable(cli.write_digraph)
+
+
+
+def test_counted_attributes_exist_on_real_results():
+    # the tracer reads its counts off these results; a renamed field
+    # would otherwise surface only in a traced benchmark run
+    counts = {span: opts["counts"] for _, _, span, opts in _load_tracing().TRACED
+              if "counts" in opts}
+    d = punctured_tournament(2)
+    subset = VertexSet.from_ids([0, 1, 2, 3, 4, 9, 10, 11, 12, 13, 18, 19, 20], 27)
+    calls = {
+        "search.enumerate_max": (enumerate_max, (d, 4)),
+        "search.branch_bound_max": (branch_bound_max, (d, 4)),
+        "certify.certify_bound": (certify_bound, (3, subset)),
+        "experiments.split_experiment": (split_experiment, (d, 3, 0)),
+    }
+    assert sorted(calls) == sorted(counts)
+    for name, (fn, args) in calls.items():
+        got = counts[name](args, {}, fn(*args))
+        assert got and all(isinstance(v, int) and v >= 0 for v in got.values()), name
+    assert enumerate_max(d, 4).pruned == 0

@@ -1,5 +1,7 @@
 """Recursive bound certificates and the three-way min identity."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,10 +101,19 @@ class TestCertifyExamples:
         bound, cert = certify_bound(3, vs(ids, 3))
         assert cert.kind == TWO_LARGE
         assert cert.rotation == 0
-        assert len(cert.chosen) == 4
-        assert set(cert.chosen.ids()) <= {0, 1, 2, 3, 4}  # local role-B ids
+        assert len(cert.child.subset) == 4
+        assert set(cert.child.subset.ids()) <= {0, 1, 2, 3, 4}  # local role-B ids
         assert cert.replay() == bound
         assert actual_min_out_degree(3, vs(ids, 3)) <= bound <= level_params(3).bound
+
+    def test_two_large_replay_checks_the_chosen_subset(self):
+        # the child certifies S; S must be t ids inside the second part
+        ids = [0, 1, 2, 3, 4, 9, 10, 11, 12, 13, 18, 19, 20]
+        _, cert = certify_bound(3, vs(ids, 3))
+        for bad in ([5, 6, 7, 8], [0, 1, 2], [1, 2, 3, 5]):
+            _, child = certify_bound(2, vs(bad, 2))
+            with pytest.raises(ValueError):
+                replace(cert, child=child).replay()
 
     def test_empty_part_rotation_choice(self):
         # parts (empty, nonempty, nonempty): rotation 2 puts the empty
@@ -168,7 +179,7 @@ class TestCertifyQuantified:
         bad = cls(
             kind=cert.kind, level=cert.level, subset=cert.subset,
             claimed_bound=bound + 1, rotation=cert.rotation,
-            chosen=cert.chosen, child=cert.child,
+            child=cert.child,
         )
         with pytest.raises(ValueError):
             bad.replay()

@@ -16,7 +16,7 @@ from trisplit import (
 )
 from trisplit.cli import run
 
-from naive import naive_max_over_sizes, random_digraph
+from naive import naive_max_over_sizes, naive_min_out_degree, random_digraph, random_tournament
 
 
 def invoke(capsys, argv, stdin=None, monkeypatch=None):
@@ -142,6 +142,20 @@ class TestSearch:
         value, witness = naive_max_over_sizes(arcs, 70, [2])
         assert out.splitlines()[-1].startswith(
             f"RESULT max={value} set={','.join(map(str, witness))} exact=true ")
+
+    def test_auto_runs_bb_where_the_subsets_exceed_the_budget(self, capsys, tmp_path):
+        # C(90, 10) subsets are far past the budget; bb needs few nodes
+        arcs = random_tournament(SplitMix64(90), 90)
+        p = tmp_path / "ninety.dg"
+        p.write_text(write_digraph(Digraph.from_arcs(90, sorted(arcs))))
+        code, out, err = invoke(capsys, ["search", "--input", str(p), "--size", "10"])
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert "engine      bb" in lines
+        result = dict(kv.split("=", 1) for kv in lines[-1].split()[1:])
+        witness = set(map(int, result["set"].split(",")))
+        assert len(witness) == 10
+        assert naive_min_out_degree(arcs, witness) == int(result["max"])
 
     def test_blocks_mask_build_honours_budget(self, capsys, tmp_path):
         p = tmp_path / "twelve.dg"
@@ -276,6 +290,13 @@ class TestDispatch:
         code, out, err = invoke(capsys, argv)
         assert code == 2 and out == ""
         assert err == f"{argv[0]}: level {argv[2]} needs at least 2**{bits} vertices, " \
+                      "limit is 59049\n"
+
+    def test_level_refusal_takes_bounded_time(self, capsys):
+        # 3**100000000 is never computed
+        code, out, err = invoke(capsys, ["verify", "--k", "100000000"])
+        assert code == 2 and out == ""
+        assert err == "verify: level 100000000 needs at least 2**158496250 vertices, " \
                       "limit is 59049\n"
 
     def test_generate_pipes_into_search(self, capsys, monkeypatch):
