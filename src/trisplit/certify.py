@@ -34,8 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .construction import ternary_tournament
-from .digraph import DimensionError, VertexSet
+import numpy as np
+
+from .construction import check_level, ternary_tournament
+from .digraph import DimensionError, VertexSet, _unpack_rows
 
 BASE = "base"
 EMPTY_PART = "empty_part"
@@ -214,7 +216,7 @@ def _certify(level: int, subset: VertexSet) -> tuple[int, BoundCertificate]:
         x_a, x_b, x_c = (sizes[(i + r) % 3] for i in range(3))
         if x_a >= t + 1 and x_b >= t + 1:
             local_b = _local_part(parts[(1 + r) % 3], (1 + r) % 3, third)
-            chosen = VertexSet.from_ids(sorted(local_b)[:t], third)
+            chosen = VertexSet.from_ids(local_b.ids()[:t], third)
             child_bound, child = _certify(level - 1, chosen)
             bound = child_bound + (x_b - t) + x_c
             cert = BoundCertificate(TWO_LARGE, level, subset, bound,
@@ -244,5 +246,25 @@ def min_identity_check(level: int, subset: VertexSet) -> bool:
 
 
 def actual_min_out_degree(level: int, subset: VertexSet) -> int:
-    """Minimum out-degree of the induced subdigraph, computed directly."""
-    return ternary_tournament(level).min_out_degree(subset)
+    """Minimum out-degree of the induced subdigraph; 0 when empty.
+
+    Computed bottom up over the block recursion without building the
+    tournament.  Each step groups the blocks of one level in threes
+    (A, B, C); a member of A beats all of B's members, so the grouped
+    block's minimum is the least, over its nonempty parts, of the
+    part's own minimum plus the next part's size, cyclically.
+    """
+    check_level(level)
+    order = 3 ** level
+    if subset.owner_n != order:
+        raise DimensionError(
+            f"vertex set indexes {subset.owner_n} vertices, digraph has {order}"
+        )
+    size = _unpack_rows((subset.bits,), order)[0].astype(np.int64)
+    # an empty block's minimum is ``order``, which no sum below reaches
+    low = np.where(size > 0, 0, order)
+    for _ in range(level):
+        size, low = size.reshape(-1, 3), low.reshape(-1, 3)
+        low = np.where(size > 0, low + np.roll(size, -1, axis=1), order).min(axis=1)
+        size = size.sum(axis=1)
+    return int(low[0]) if size[0] else 0

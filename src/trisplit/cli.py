@@ -52,12 +52,11 @@ def _load_digraph(path: str) -> Digraph:
 
 
 def _ids_str(vs: VertexSet) -> str:
-    return ",".join(str(v) for v in vs.ids()) if len(vs) else "-"
+    return ",".join(map(str, vs.ids())) if len(vs) else "-"
 
 
 def _parse_id_list(text: str) -> list[int]:
-    toks = [t.strip() for t in text.split(",")]
-    return [int(t) for t in toks if t]
+    return [int(t) for t in map(str.strip, text.split(",")) if t]
 
 
 def _report_lines(pairs) -> str:

@@ -18,6 +18,24 @@ from typing import Iterable, Iterator
 import numpy as np
 
 
+def _unpack_rows(rows: Iterable[int], n: int) -> np.ndarray:
+    """Bits 0..n-1 of each int in ``rows`` as one uint8 0/1 row each.
+
+    Every int must lie in 0..2**n - 1.
+    """
+    rows = list(rows)
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in rows),
+                           dtype=np.uint8).reshape(len(rows), width)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little")
+
+
+def _pack_rows(bits: np.ndarray) -> list[int]:
+    """Inverse of :func:`_unpack_rows`: one int per row of a 0/1 matrix."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row, "little") for row in packed]
+
+
 class DimensionError(ValueError):
     """A VertexSet was used with a digraph of a different vertex count."""
 
@@ -45,12 +63,15 @@ class VertexSet:
 
     @classmethod
     def from_ids(cls, ids: Iterable[int], owner_n: int) -> "VertexSet":
-        bits = 0
-        for v in ids:
-            if not 0 <= v < owner_n:
-                raise ValueError(f"vertex {v} out of range for n={owner_n}")
-            bits |= 1 << v
-        return cls(bits, owner_n)
+        ids = list(ids)
+        if not ids:
+            return cls(0, owner_n)
+        if not (0 <= min(ids) and max(ids) < owner_n):
+            v = next(v for v in ids if not 0 <= v < owner_n)
+            raise ValueError(f"vertex {v} out of range for n={owner_n}")
+        member = np.zeros(owner_n, dtype=np.uint8)
+        member[np.asarray(ids, dtype=np.intp)] = 1
+        return cls(_pack_rows(member[None])[0], owner_n)
 
     @classmethod
     def empty(cls, owner_n: int) -> "VertexSet":
@@ -67,15 +88,11 @@ class VertexSet:
         return 0 <= v < self.owner_n and (self.bits >> v) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+        return iter(self.ids())
 
     def ids(self) -> tuple[int, ...]:
         """Member vertices in increasing order."""
-        return tuple(self)
+        return tuple(np.flatnonzero(_unpack_rows((self.bits,), self.owner_n)[0]).tolist())
 
     def complement(self) -> "VertexSet":
         return VertexSet(((1 << self.owner_n) - 1) ^ self.bits, self.owner_n)
@@ -153,10 +170,6 @@ class Digraph:
                 f"vertex set indexes {subset.owner_n} vertices, digraph has {self.n}"
             )
 
-    def out_degree(self, v: int) -> int:
-        """Out-degree of v in the whole digraph."""
-        return self.rows[v].bit_count()
-
     def min_out_degree(self, subset: VertexSet | None = None) -> int:
         """Minimum out-degree of the subdigraph induced by ``subset``.
 
@@ -207,14 +220,8 @@ class Digraph:
 
     def degree_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(out_degrees, in_degrees) of all vertices as int64 arrays."""
-        # bit j of byte b in row u is arc u -> 8*b+j
-        width = max(1, (self.n + 7) // 8)
-        buf = b"".join(row.to_bytes(width, "little") for row in self.rows)
-        packed = np.frombuffer(buf, dtype=np.uint8).reshape(self.n, width)
-        out = np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
-        unpacked = np.unpackbits(packed, axis=1, bitorder="little", count=self.n)
-        inn = unpacked.sum(axis=0, dtype=np.int64)
-        return out, inn
+        adjacency = _unpack_rows(self.rows, self.n)
+        return adjacency.sum(axis=1, dtype=np.int64), adjacency.sum(axis=0, dtype=np.int64)
 
 
 def read_digraph(text: str) -> Digraph:
@@ -226,26 +233,34 @@ def read_digraph(text: str) -> Digraph:
     """
     if not text.endswith("\n"):
         raise DigraphFormatError("missing final newline")
-    lines = text.split("\n")[:-1]
-    if not lines:
-        raise DigraphFormatError("empty input")
-    header = lines[0].strip()
+    head, _, body = text.partition("\n")
+    header = head.strip()
     if not header.isdigit():
         raise DigraphFormatError(f"malformed vertex count {header!r}")
     n = int(header)
-    if len(lines) != n + 1:
-        raise DigraphFormatError(f"expected {n} rows, got {len(lines) - 1}")
-    rows = []
-    for i, line in enumerate(lines[1:]):
-        if len(line) != n:
-            raise DigraphFormatError(f"row {i} has length {len(line)}, expected {n}")
-        if line.strip("01"):
+    got = body.count("\n")
+    if got != n:
+        raise DigraphFormatError(f"expected {n} rows, got {got}")
+    # one byte per character: "replace" turns each non-ASCII one into "?"
+    data = np.frombuffer(body.encode("ascii", "replace"), dtype=np.uint8)
+    lengths = np.diff(np.flatnonzero(data == ord("\n")), prepend=-1) - 1
+    wrong = np.flatnonzero(lengths != n)
+    # rows before the first one of the wrong length form a grid
+    shaped = int(wrong[0]) if len(wrong) else n
+    grid = data[:shaped * (n + 1)].reshape(shaped, n + 1)[:, :n]
+    bad_chars = ((grid | 1) != ord("1")).any(axis=1)
+    loops = grid[np.arange(shaped), np.arange(shaped)] == ord("1")
+    bad = np.flatnonzero(bad_chars | loops)
+    if len(bad):
+        i = int(bad[0])
+        if bad_chars[i]:
             raise DigraphFormatError(f"row {i} contains characters other than 0/1")
-        if line[i] == "1":
-            raise DigraphFormatError(f"self-loop bit set at vertex {i}")
-        # character j of the line is bit j of the row
-        rows.append(int(line[::-1], 2))
-    return Digraph(n, rows)
+        raise DigraphFormatError(f"self-loop bit set at vertex {i}")
+    if shaped < n:
+        raise DigraphFormatError(
+            f"row {shaped} has length {lengths[shaped]}, expected {n}")
+    # character j of a line is bit j of its row
+    return Digraph(n, _pack_rows(grid == ord("1")))
 
 
 def write_digraph(digraph: Digraph) -> str:

@@ -19,17 +19,26 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .construction import level_params
-from .digraph import Digraph, VertexSet
+from .digraph import Digraph, VertexSet, _pack_rows, _unpack_rows
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+#: Byte budget of one n-wide scratch matrix in ``split_experiment``:
+#: it sizes both the trial block and the adjacency row chunk.
+_SCRATCH_BYTES = 1 << 24
 
 
-def mix64(value: int) -> int:
-    """Avalanche finalizer over 64 bits (xor-shift-multiply)."""
+def mix64(value):
+    """Avalanche finalizer over 64 bits (xor-shift-multiply).
+
+    Takes an int or a numpy uint64 array, whose arithmetic wraps mod
+    2**64 as the masks do for ints.
+    """
     z = value & _MASK64
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
@@ -105,22 +114,7 @@ def random_balanced_split(digraph: Digraph, seed: int) -> SplitTrial:
     the vertex ids, which is uniform over all balanced halves.  Odd
     vertex counts have no balanced split and are rejected.
     """
-    n = digraph.n
-    if n % 2:
-        raise ValueError(f"balanced split needs an even vertex count, got {n}")
-    rng = SplitMix64(seed)
-    ids = list(range(n))
-    half = n // 2
-    for i in range(half):
-        j = i + rng.next_below(n - i)
-        ids[i], ids[j] = ids[j], ids[i]
-    half_one = VertexSet.from_ids(ids[:half], n)
-    return SplitTrial(
-        seed=seed,
-        half_one=half_one,
-        delta_one=digraph.min_out_degree(half_one),
-        delta_two=digraph.min_out_degree(half_one.complement()),
-    )
+    return _split_block(digraph, [seed])[0]
 
 
 def split_experiment(digraph: Digraph, trials: int, seed: int) -> SplitSummary:
@@ -128,21 +122,89 @@ def split_experiment(digraph: Digraph, trials: int, seed: int) -> SplitSummary:
 
     Trial i uses substream_seed(seed, i), so any subset of trials can
     be re-run in isolation and the aggregation order is by index no
-    matter how the work is scheduled.
+    matter how the work is scheduled.  Trials run in blocks that share
+    one pass over the adjacency; each trial equals
+    ``random_balanced_split`` on its seed.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    records = tuple(
-        random_balanced_split(digraph, substream_seed(seed, i))
-        for i in range(trials)
-    )
+    per_block = _rows_per_block(digraph.n)
+    records: list[SplitTrial] = []
+    for start in range(0, trials, per_block):
+        stop = min(trials, start + per_block)
+        records += _split_block(digraph, [substream_seed(seed, i) for i in range(start, stop)])
     worsts = [t.worst for t in records]
     return SplitSummary(
         seed=seed,
-        trials=records,
+        trials=tuple(records),
         max_delta=max(worsts),
         mean_delta=sum(worsts) / len(worsts),
     )
+
+
+def _rows_per_block(n: int) -> int:
+    """Trials per block, and adjacency rows per scoring chunk, such that
+    each n-wide scratch matrix stays within ``_SCRATCH_BYTES``."""
+    return max(1, _SCRATCH_BYTES // (8 * max(n, 1)))
+
+
+def _shuffled_halves(seeds: list[int], n: int) -> np.ndarray:
+    """Membership matrix, one row per seed, of the sampled halves.
+
+    Each row replays ``SplitMix64(seed)`` drawing ``next_below(n - i)``
+    for i < n/2 and swapping position i with i + draw; the streams of
+    all rows advance together as one uint64 matrix.
+    """
+    half = n // 2
+    # draw i mixes the state seed + (i+1) * _GOLDEN
+    state = (np.array([s & _MASK64 for s in seeds], dtype=np.uint64)[:, None]
+             + np.arange(1, half + 1, dtype=np.uint64) * np.uint64(_GOLDEN))
+    targets = (mix64(state) % (n - np.arange(half, dtype=np.uint64))).astype(np.intp)
+    targets += np.arange(half)
+    perm = np.tile(np.arange(n, dtype=np.int32), (len(seeds), 1))
+    rows = np.arange(len(seeds))
+    for i in range(half):
+        j = targets[:, i]
+        taken = perm[rows, j]
+        perm[rows, j] = perm[:, i]
+        perm[:, i] = taken
+    member = np.zeros((len(seeds), n), dtype=bool)
+    member[rows[:, None], perm[:, :half]] = True
+    return member
+
+
+def _split_block(digraph: Digraph, seeds: list[int]) -> list[SplitTrial]:
+    """One balanced split per seed, scored in one pass over the adjacency.
+
+    Out-degrees into each half come from one float32 product of the
+    membership matrix and a chunk of adjacency rows; every sum is an
+    integer below 2**24, so the product is exact.
+    """
+    n = digraph.n
+    if n % 2:
+        raise ValueError(f"balanced split needs an even vertex count, got {n}")
+    member = _shuffled_halves(seeds, n)
+    weights = member.astype(np.float32)
+    delta_one = np.full(len(seeds), np.inf, dtype=np.float32)
+    delta_two = np.full(len(seeds), np.inf, dtype=np.float32)
+    chunk = _rows_per_block(n)
+    for lo in range(0, n, chunk):
+        adjacency = _unpack_rows(digraph.rows[lo:lo + chunk], n).astype(np.float32)
+        into_half = weights @ adjacency.T
+        inside = member[:, lo:lo + chunk]
+        np.minimum(delta_one, np.where(inside, into_half, np.inf).min(axis=1),
+                   out=delta_one)
+        into_rest = adjacency.sum(axis=1) - into_half
+        np.minimum(delta_two, np.where(inside, np.inf, into_rest).min(axis=1),
+                   out=delta_two)
+    # a half with no members has minimum out-degree 0
+    delta_one[np.isinf(delta_one)] = 0
+    delta_two[np.isinf(delta_two)] = 0
+    return [
+        SplitTrial(seed=seed, half_one=VertexSet(bits, n), delta_one=d1, delta_two=d2)
+        for seed, bits, d1, d2 in zip(seeds, _pack_rows(member), delta_one.astype(int).tolist(),
+                                      delta_two.astype(int).tolist())
+    ]
 
 
 @dataclass(frozen=True)

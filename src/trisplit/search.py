@@ -56,14 +56,18 @@ _PRUNE_EVERY = 8
 class BudgetExceeded(RuntimeError):
     """A search would go past its budget.
 
-    ``required`` counts ``unit``: requested subsets, masks the sweep
-    must build, or branch-and-bound nodes.  The node count is not known
-    in advance, so there it is the number of the node at which the
-    search stopped, ``budget + 1`` for a budget of at least zero.
+    ``required`` counts ``noun``: requested subsets, masks the sweep
+    must build, or branch-and-bound nodes.  The noun takes a plural
+    ``s`` unless ``required`` is 1, and ``qualifier`` follows it.  The
+    node count is not known in advance, so there it is the number of
+    the node at which the search stopped, ``budget + 1`` for a budget
+    of at least zero.
     """
 
-    def __init__(self, required: int, budget: int, unit: str = "subsets"):
-        super().__init__(f"search needs {format_count(required)} {unit}, "
+    def __init__(self, required: int, budget: int, noun: str = "subset",
+                 qualifier: str = ""):
+        unit = noun if required == 1 else f"{noun}s"
+        super().__init__(f"search needs {format_count(required)} {unit}{qualifier}, "
                          f"budget allows {budget}")
         self.required = required
         self.budget = budget
@@ -259,7 +263,7 @@ def enumerate_max(digraph: Digraph, sizes, budget: int = DEFAULT_BUDGET) -> Sear
         raise ValueError("blocks engine requires at most 64 vertices")
     build = _build_cost(n, sizes)
     if build > budget:
-        raise BudgetExceeded(build, budget, "masks to build")
+        raise BudgetExceeded(build, budget, "mask", " to build")
     # under v -> n-1-v the id-lexicographically smallest witness is the
     # numerically largest attaining mask, which the sweep keeps
     flipped = Digraph(n, [_reverse(row, n) for row in reversed(digraph.rows)])
@@ -308,7 +312,7 @@ def branch_bound_max(digraph: Digraph, target_size: int,
     while stack:
         sel, pool, nsel = stack.pop()
         if visited >= budget:
-            raise BudgetExceeded(visited + 1, budget, "nodes or more")
+            raise BudgetExceeded(visited + 1, budget, "node", " or more")
         visited += 1
         if nsel == target_size:
             val = subset_min_degree(rows, sel)

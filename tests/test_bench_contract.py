@@ -9,6 +9,8 @@ catch it with the test suite.
 
 import importlib
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -42,7 +44,6 @@ def test_cli_exposes_input_writers():
     assert callable(cli.Digraph) and callable(cli.write_digraph)
 
 
-
 def test_counted_attributes_exist_on_real_results():
     # the tracer reads its counts off these results; a renamed field
     # would otherwise surface only in a traced benchmark run
@@ -61,3 +62,16 @@ def test_counted_attributes_exist_on_real_results():
         got = counts[name](args, {}, fn(*args))
         assert got and all(isinstance(v, int) and v >= 0 for v in got.values()), name
     assert enumerate_max(d, 4).pruned == 0
+
+
+def test_split_certify_smoke_run_passes_its_oracles():
+    # one round of the family-scale workload, every output checked by
+    # the benchmark's own oracles, which do not import trisplit
+    root = TRACING.parent.parent
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "split-certify", "--seed", "0",
+         "--seconds", "0", "--trace", "0"],
+        cwd=root, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stderr[-2000:]

@@ -1,5 +1,6 @@
 """Recursive bound certificates and the three-way min identity."""
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -214,3 +215,51 @@ class TestMinIdentity:
         third = 3 ** (k - 1)
         ids = a + [v + third for v in b] + [v + 2 * third for v in c]
         assert min_identity_check(k, vs(ids, k))
+
+
+class TestStructuralScorer:
+    """``actual_min_out_degree`` against the dense tournament."""
+
+    @staticmethod
+    def dense(k, x):
+        return ternary_tournament(k).min_out_degree(x)
+
+    def test_seeded_random_subsets(self):
+        rng = random.Random(20261018)
+        for k in range(7):
+            order = 3 ** k
+            for _ in range(40):
+                x = vs(rng.sample(range(order), rng.randint(0, order)), k)
+                assert actual_min_out_degree(k, x) == self.dense(k, x)
+
+    def test_empty_singletons_and_full(self):
+        for k in range(7):
+            order = 3 ** k
+            assert actual_min_out_degree(k, VertexSet.empty(order)) == 0
+            assert actual_min_out_degree(k, VertexSet.full(order)) == (order - 1) // 2
+            for v in {0, order // 2, order - 1}:
+                assert actual_min_out_degree(k, vs([v], k)) == 0
+
+    def test_one_empty_top_level_part(self):
+        rng = random.Random(7)
+        for k in range(1, 7):
+            third = 3 ** (k - 1)
+            for empty in range(3):
+                kept = [v for v in range(3 ** k) if v // third != empty]
+                for _ in range(10):
+                    x = vs(rng.sample(kept, rng.randint(1, len(kept))), k)
+                    assert actual_min_out_degree(k, x) == self.dense(k, x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=5).flatmap(
+        lambda k: st.tuples(st.just(k), st.integers(min_value=0, max_value=(1 << 3 ** k) - 1))))
+    def test_matches_dense(self, k_bits):
+        k, bits = k_bits
+        x = VertexSet(bits, 3 ** k)
+        assert actual_min_out_degree(k, x) == self.dense(k, x)
+
+    def test_refusals(self):
+        with pytest.raises(DimensionError):
+            actual_min_out_degree(2, VertexSet.empty(8))
+        with pytest.raises(ValueError, match="limit is 59049"):
+            actual_min_out_degree(11, VertexSet.empty(3 ** 11))

@@ -173,6 +173,24 @@ class TestSearch:
         assert code == 2 and out == ""
         assert "budget allows 1" in err
 
+    def test_bb_negative_budget_names_one_node(self, capsys, tmp_path):
+        p = tmp_path / "five.dg"
+        p.write_text(write_digraph(Digraph.from_arcs(5, [(i, (i + 1) % 5) for i in range(5)])))
+        code, out, err = invoke(capsys, ["search", "--input", str(p), "--size", "3",
+                                         "--engine", "bb", "--budget", "-1"])
+        assert code == 2 and out == ""
+        assert err == "search: search needs 1 node or more, budget allows -1\n"
+
+    @pytest.mark.parametrize("engine, unit", [("auto", "node or more"), ("blocks", "subset")])
+    def test_size_zero_at_budget_zero_names_one_unit(self, capsys, tmp_path, engine, unit):
+        # auto falls back to bb, which refuses its first node
+        p = tmp_path / "five.dg"
+        p.write_text(write_digraph(Digraph.from_arcs(5, [(i, (i + 1) % 5) for i in range(5)])))
+        code, out, err = invoke(capsys, ["search", "--input", str(p), "--size", "0",
+                                         "--engine", engine, "--budget", "0"])
+        assert code == 2 and out == ""
+        assert err == f"search: search needs 1 {unit}, budget allows 0\n"
+
     def test_bb_deep_search_needs_no_recursion(self, capsys, tmp_path):
         p = tmp_path / "arcless.dg"
         p.write_text(write_digraph(Digraph(1500, [0] * 1500)))
@@ -217,6 +235,20 @@ class TestSplit:
         first = invoke(capsys, argv, stdin=text, monkeypatch=monkeypatch)
         second = invoke(capsys, argv, stdin=text, monkeypatch=monkeypatch)
         assert first == second
+
+    @pytest.mark.parametrize("text, seed, expected", [
+        ("0\n", 4, "0,17910168766398507921,0,0\n1,16615945980102658620,0,0\n"
+                   "2,2554248263986949992,0,0\n"),
+        ("2\n01\n10\n", 8, "0,721373886964523290,0,0\n1,10267574001610339165,0,0\n"
+                            "2,15722710495894201946,0,0\n"),
+    ])
+    def test_smallest_digraphs_exact(self, capsys, monkeypatch, text, seed, expected):
+        code, out, err = invoke(
+            capsys, ["split", "--input", "-", "--trials", "3", "--seed", str(seed)],
+            stdin=text, monkeypatch=monkeypatch)
+        assert code == 0
+        assert out == "trial,seed,delta_one,delta_two\n" + expected
+        assert err == "split: 3 trials, max delta 0, mean 0.0000\n"
 
     def test_odd_order_rejected(self, capsys, monkeypatch):
         code, _, err = invoke(

@@ -55,6 +55,21 @@ class TestVertexSet:
         with pytest.raises(ValueError):
             VertexSet.from_ids([3], 3)
 
+    def test_first_out_of_range_id_is_named(self):
+        with pytest.raises(ValueError, match=r"^vertex 7 out of range for n=5$"):
+            VertexSet.from_ids([1, 7, -1, 9], 5)
+        with pytest.raises(ValueError, match=r"^vertex -1 out of range for n=5$"):
+            VertexSet.from_ids([1, -1, 7], 5)
+
+    @given(st.integers(min_value=0, max_value=200).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=(1 << n) - 1))))
+    def test_ids_match_the_bits(self, n_bits):
+        n, bits = n_bits
+        vs = VertexSet(bits, n)
+        assert vs.ids() == tuple(v for v in range(n) if bits >> v & 1)
+        assert list(vs) == list(vs.ids())
+        assert VertexSet.from_ids(reversed(vs.ids()), n) == vs
+
     def test_duplicate_ids_collapse(self):
         assert VertexSet.from_ids([1, 1, 1], 4) == VertexSet.from_ids([1], 4)
 
@@ -88,7 +103,6 @@ class TestDigraph:
         assert d.arc(0, 1) and not d.arc(1, 0)
         assert sorted(d.arcs()) == [(0, 1), (1, 2), (2, 0)]
         assert d.arc_count() == 3
-        assert d.out_degree(0) == 1
         assert d.is_tournament()
 
     def test_from_arcs_rejects_bad_pairs(self):
@@ -161,7 +175,8 @@ class TestDigraph:
     @given(digraphs(10))
     def test_degree_arrays_match_loops(self, d):
         out, inn = d.degree_arrays()
-        assert out.tolist() == [d.out_degree(v) for v in range(d.n)]
+        assert out.tolist() == [sum(d.arc(v, u) for u in range(d.n) if u != v)
+                                for v in range(d.n)]
         assert inn.tolist() == [sum(d.arc(u, v) for u in range(d.n) if u != v)
                                 for v in range(d.n)]
 
@@ -196,3 +211,32 @@ class TestTextFormat:
     def test_malformed_inputs_rejected(self, text):
         with pytest.raises(DigraphFormatError):
             read_digraph(text)
+
+    @pytest.mark.parametrize("text, message", [
+        # the first offending row decides, whatever its fault
+        ("3\n0x1\n0010\n100\n", "row 0 contains characters other than 0/1"),
+        ("3\n0110\n0x1\n100\n", "row 0 has length 4, expected 3"),
+        ("3\n110\n001\n10\n", "self-loop bit set at vertex 0"),
+        ("3\n010\n011\n1\n", "self-loop bit set at vertex 1"),
+        ("3\n01x\n011\n100\n", "row 0 contains characters other than 0/1"),
+        ("2\n01\n11\n", "self-loop bit set at vertex 1"),
+        # a non-ASCII character counts as one character of its row
+        ("3\n010\n0\u00e91\n100\n", "row 1 contains characters other than 0/1"),
+        ("3\n010\n0\u00b91\n100\n", "row 1 contains characters other than 0/1"),
+        ("3\n010\n001\n1\u00e90\n", "row 2 contains characters other than 0/1"),
+        ("2\n\u0661\u0660\n10\n", "row 0 contains characters other than 0/1"),
+        ("3\n010\n001\n10\n", "row 2 has length 2, expected 3"),
+        ("2\n01\n1\n", "row 1 has length 1, expected 2"),
+        ("2\r\n01\r\n10\r\n", "row 0 has length 3, expected 2"),
+        ("2\n01\n10", "missing final newline"),
+        ("2\n01\n10\n\n", "expected 2 rows, got 3"),
+        ("2\n01\n", "expected 2 rows, got 1"),
+        ("x\n01\n10\n", "malformed vertex count 'x'"),
+    ])
+    def test_malformed_input_messages(self, text, message):
+        with pytest.raises(DigraphFormatError) as exc:
+            read_digraph(text)
+        assert str(exc.value) == message
+
+    def test_header_whitespace_tolerated(self):
+        assert read_digraph(" 2 \n01\n10\n") == Digraph.from_arcs(2, [(0, 1), (1, 0)])

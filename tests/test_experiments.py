@@ -1,5 +1,6 @@
 """Seeded split trials, the deterministic generator, gap tables."""
 
+import hashlib
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -139,6 +140,54 @@ class TestSplitExperiment:
         assert exhaustive == 1
         summary = split_experiment(d, 1000, seed=3)
         assert summary.max_delta <= exhaustive
+
+
+class TestLockstepSplit:
+    """Blocks of trials share one pass over the adjacency; the result
+    must not depend on how trials and adjacency rows are grouped."""
+
+    @pytest.mark.parametrize("scratch", [1, 8 * 26 * 3])
+    def test_grouping_is_invisible(self, monkeypatch, scratch):
+        # scratch 1: blocks of one trial, one adjacency row per chunk;
+        # 8 * 26 * 3: blocks of three trials, chunks of three rows
+        d = punctured_tournament(3)
+        single = [random_balanced_split(d, substream_seed(6, i)) for i in range(10)]
+        default = split_experiment(d, 10, seed=6)
+        monkeypatch.setattr("trisplit.experiments._SCRATCH_BYTES", scratch)
+        regrouped = split_experiment(d, 10, seed=6)
+        assert regrouped == default
+        assert list(regrouped.trials) == single
+        assert [random_balanced_split(d, t.seed) for t in single] == single
+
+    def test_frozen_digest(self):
+        # digest of the trials of the per-trial scalar implementation
+        summary = split_experiment(punctured_tournament(4), 300, seed=17)
+        h = hashlib.sha256()
+        for t in summary.trials:
+            h.update(f"{t.seed},{t.half_one.bits},{t.delta_one},{t.delta_two}\n".encode())
+        assert h.hexdigest() == \
+            "f8a2a1cf3104506ea59da12c46ef6370f2b88c72774a5eb1c4cf10693486ad84"
+        assert (summary.max_delta, summary.mean_delta) == (18, 16.053333333333335)
+
+    def test_no_vertices(self):
+        summary = split_experiment(Digraph(0, []), 3, seed=4)
+        assert [(t.half_one.bits, t.delta_one, t.delta_two) for t in summary.trials] == \
+            [(0, 0, 0)] * 3
+        assert summary.trials[0].half_one.owner_n == 0
+
+    def test_two_vertices(self):
+        d = Digraph.from_arcs(2, [(0, 1), (1, 0)])
+        summary = split_experiment(d, 50, seed=1)
+        halves = {t.half_one.ids() for t in summary.trials}
+        assert halves == {(0,), (1,)}
+        assert summary.max_delta == 0
+
+    def test_raw_seed_is_recorded(self):
+        # the generator reduces a seed mod 2**64; the record keeps it as given
+        d = punctured_tournament(2)
+        wide = random_balanced_split(d, (1 << 64) + 3)
+        assert wide.seed == (1 << 64) + 3
+        assert wide.half_one == random_balanced_split(d, 3).half_one
 
 
 class TestGapTable:

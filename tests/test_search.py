@@ -97,6 +97,15 @@ class TestEnumerate:
         r = enumerate_max(d, 11, budget=4095)
         assert (r.best_value, r.nodes_visited) == (0, 12)
 
+    @pytest.mark.parametrize("count, args, text", [
+        (1, (), "1 subset"), (2, (), "2 subsets"),
+        (1, ("mask", " to build"), "1 mask to build"),
+        (2, ("mask", " to build"), "2 masks to build"),
+        (1, ("node", " or more"), "1 node or more"),
+    ])
+    def test_refusal_unit_agrees_with_its_count(self, count, args, text):
+        assert str(BudgetExceeded(count, 0, *args)) == f"search needs {text}, budget allows 0"
+
     def test_engines_agree_including_witness(self):
         rng = SplitMix64(20260817)
         for trial in range(25):
