@@ -17,7 +17,6 @@ from .certify import (
 from .construction import (
     DEFAULT_MAX_VERTICES,
     LevelParams,
-    compose_cyclic,
     level_params,
     punctured_tournament,
     ternary_tournament,

@@ -141,6 +141,15 @@ class BoundCertificate:
             self.child._render_into(lines, depth + 1)
 
 
+def _check_order(subset: VertexSet, level: int) -> int:
+    """3**level, once ``subset`` is known to index that many vertices."""
+    order = 3 ** level
+    if subset.owner_n != order:
+        raise DimensionError(
+            f"subset indexes {subset.owner_n} vertices, level {level} has {order}")
+    return order
+
+
 def partition_parts(subset: VertexSet, level: int) -> tuple[VertexSet, VertexSet, VertexSet]:
     """Split a level-``level`` subset by most significant trit.
 
@@ -149,11 +158,7 @@ def partition_parts(subset: VertexSet, level: int) -> tuple[VertexSet, VertexSet
     """
     if level < 1:
         raise ValueError("level 0 has no parts to split")
-    order = 3 ** level
-    if subset.owner_n != order:
-        raise DimensionError(
-            f"subset indexes {subset.owner_n} vertices, level {level} has {order}"
-        )
+    order = _check_order(subset, level)
     third = order // 3
     block = (1 << third) - 1
     return tuple(
@@ -174,12 +179,7 @@ def certify_bound(level: int, subset: VertexSet) -> tuple[int, BoundCertificate]
     ``level_params(level).bound``, and the actual minimum out-degree of
     the induced subdigraph never exceeds the returned bound.
     """
-    order = 3 ** level
-    if subset.owner_n != order:
-        raise DimensionError(
-            f"subset indexes {subset.owner_n} vertices, level {level} has {order}"
-        )
-    cap = (order - 1) // 2
+    cap = (_check_order(subset, level) - 1) // 2
     if len(subset) > cap:
         raise ValueError(f"subset size {len(subset)} exceeds precondition {cap}")
     return _certify(level, subset)
@@ -255,11 +255,7 @@ def actual_min_out_degree(level: int, subset: VertexSet) -> int:
     part's own minimum plus the next part's size, cyclically.
     """
     check_level(level)
-    order = 3 ** level
-    if subset.owner_n != order:
-        raise DimensionError(
-            f"vertex set indexes {subset.owner_n} vertices, digraph has {order}"
-        )
+    order = _check_order(subset, level)
     size = _unpack_rows((subset.bits,), order)[0].astype(np.int64)
     # an empty block's minimum is ``order``, which no sum below reaches
     low = np.where(size > 0, 0, order)

@@ -22,7 +22,6 @@ refuse a level up front.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .digraph import Digraph
@@ -73,33 +72,6 @@ def level_params(level: int) -> LevelParams:
     )
 
 
-def compose_cyclic(a: Digraph, b: Digraph, c: Digraph) -> Digraph:
-    """Disjoint union of a, b, c plus all arcs a->b, b->c, c->a.
-
-    The three blocks occupy consecutive id ranges in argument order.
-    """
-    na, nb, nc = a.n, b.n, c.n
-    n = na + nb + nc
-    if n > DEFAULT_MAX_VERTICES:
-        raise ValueError(
-            f"composed digraph has {n} vertices, limit is {DEFAULT_MAX_VERTICES}")
-    mask_a = (1 << na) - 1
-    mask_b = ((1 << nb) - 1) << na
-    mask_c = ((1 << nc) - 1) << (na + nb)
-    rows = [row | mask_b for row in a.rows]
-    rows += [(row << na) | mask_c for row in b.rows]
-    rows += [(row << (na + nb)) | mask_a for row in c.rows]
-    return Digraph(n, rows)
-
-
-@functools.lru_cache(maxsize=16)
-def _build_level(level: int) -> Digraph:
-    if level == 0:
-        return Digraph(1, [0])
-    prev = _build_level(level - 1)
-    return compose_cyclic(prev, prev, prev)
-
-
 def format_count(count: int) -> str:
     """``count`` in decimal, or ``at least 2**b`` past the interpreter's
     int-to-str digit limit."""
@@ -126,12 +98,17 @@ def check_level(level: int) -> None:
 
 
 def ternary_tournament(level: int) -> Digraph:
-    """The regular tournament on 3**level vertices, built recursively.
-
-    Results are cached per level; they are immutable, so sharing is safe.
-    """
+    """The regular tournament on 3**level vertices, built recursively."""
     check_level(level)
-    return _build_level(level)
+    rows = [0]
+    for _ in range(level):
+        n = len(rows)
+        block = (1 << n) - 1
+        # copies A, B, C on consecutive blocks; A beats B, B beats C, C beats A
+        rows = ([row | block << n for row in rows]
+                + [row << n | block << 2 * n for row in rows]
+                + [row << 2 * n | block for row in rows])
+    return Digraph(len(rows), rows)
 
 
 def punctured_tournament(level: int) -> Digraph:

@@ -181,27 +181,10 @@ class Digraph:
         self._check_set(subset)
         return subset_min_degree(self.rows, subset.bits)
 
-    def induced(self, subset: VertexSet) -> "Digraph":
-        """Subdigraph induced by ``subset``, relabeled by increasing id."""
-        self._check_set(subset)
-        kept = subset.ids()
-        pos = {v: i for i, v in enumerate(kept)}
-        rows = []
-        for v in kept:
-            row = self.rows[v] & subset.bits
-            new = 0
-            while row:
-                low = row & -row
-                new |= 1 << pos[low.bit_length() - 1]
-                row ^= low
-            rows.append(new)
-        return Digraph(len(kept), rows)
-
     def delete_vertex(self, v: int) -> "Digraph":
         """Digraph with v removed and the remaining vertices relabeled.
 
-        Same result as inducing on every other vertex, but each row
-        is rebuilt with two shifts instead of bit by bit.
+        Each row is rebuilt with two shifts.
         """
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range for n={self.n}")
@@ -212,11 +195,9 @@ class Digraph:
 
     def is_tournament(self) -> bool:
         """True iff every vertex pair carries exactly one arc."""
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if ((self.rows[u] >> v) & 1) == ((self.rows[v] >> u) & 1):
-                    return False
-        return True
+        adjacency = _unpack_rows(self.rows, self.n)
+        return np.array_equal(adjacency + adjacency.T,
+                              1 - np.eye(self.n, dtype=np.uint8))
 
     def degree_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(out_degrees, in_degrees) of all vertices as int64 arrays."""

@@ -94,7 +94,7 @@ class SplitTrial:
 
 @dataclass(frozen=True)
 class SplitSummary:
-    """Aggregate over an ordered run of split trials.
+    """An ordered run of split trials.
 
     ``max_delta`` and ``mean_delta`` summarize max(delta_one,
     delta_two) per trial.  Identical seed and trial count reproduce
@@ -103,8 +103,14 @@ class SplitSummary:
 
     seed: int
     trials: tuple[SplitTrial, ...]
-    max_delta: int
-    mean_delta: float
+
+    @property
+    def max_delta(self) -> int:
+        return max(t.worst for t in self.trials)
+
+    @property
+    def mean_delta(self) -> float:
+        return sum(t.worst for t in self.trials) / len(self.trials)
 
 
 def random_balanced_split(digraph: Digraph, seed: int) -> SplitTrial:
@@ -133,13 +139,7 @@ def split_experiment(digraph: Digraph, trials: int, seed: int) -> SplitSummary:
     for start in range(0, trials, per_block):
         stop = min(trials, start + per_block)
         records += _split_block(digraph, [substream_seed(seed, i) for i in range(start, stop)])
-    worsts = [t.worst for t in records]
-    return SplitSummary(
-        seed=seed,
-        trials=tuple(records),
-        max_delta=max(worsts),
-        mean_delta=sum(worsts) / len(worsts),
-    )
+    return SplitSummary(seed=seed, trials=tuple(records))
 
 
 def _rows_per_block(n: int) -> int:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar, Iterable
 
 import numpy as np
@@ -78,21 +78,31 @@ class SearchReport:
     """Outcome of one exact search.
 
     ``by_size`` maps each searched size to (best value, witness) for
-    that size alone; ``best_set``/``best_value`` aggregate over all of
-    them.  Both engines are exact, so ``exact`` is a class constant.
+    that size alone; ``best_value`` and ``best_set`` are derived from
+    it.  Both engines are exact, so ``exact`` is a class constant.
     ``engine`` names the engine that ran: ``blocks`` or ``bb``;
     ``pruned`` counts the branches that branch and bound cut.
     """
 
     exact: ClassVar[bool] = True
 
-    best_set: VertexSet
-    best_value: int
+    by_size: dict[int, tuple[int, VertexSet]]
     nodes_visited: int
     elapsed: float
     engine: str
     pruned: int = 0
-    by_size: dict[int, tuple[int, VertexSet]] = field(default_factory=dict)
+
+    @property
+    def best_value(self) -> int:
+        return max(v for v, _ in self.by_size.values())
+
+    @property
+    def best_set(self) -> VertexSet:
+        """A witness of ``best_value``: nonempty witnesses first, then
+        the smallest id tuple."""
+        best = self.best_value
+        return min((w for v, w in self.by_size.values() if v == best),
+                   key=lambda w: (not w.bits, w.ids()))
 
 
 @dataclass(frozen=True)
@@ -107,7 +117,10 @@ class VerifyOutcome:
 
     bound: int
     report: SearchReport
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.report.best_value <= self.bound
 
 
 def subset_count(n: int, sizes: Iterable[int]) -> int:
@@ -240,13 +253,6 @@ def _blocks_by_size(digraph: Digraph,
     return out
 
 
-def _combine_sizes(by_size: dict[int, tuple[int, VertexSet]]) -> tuple[int, VertexSet]:
-    best_value = max(v for v, _ in by_size.values())
-    # nonempty witnesses first, then the smallest id tuple
-    return best_value, min((w for v, w in by_size.values() if v == best_value),
-                           key=lambda w: (not w.bits, w.ids()))
-
-
 def enumerate_max(digraph: Digraph, sizes, budget: int = DEFAULT_BUDGET) -> SearchReport:
     """Exhaustive maximum of min-out-degree over the given subset sizes.
 
@@ -269,14 +275,11 @@ def enumerate_max(digraph: Digraph, sizes, budget: int = DEFAULT_BUDGET) -> Sear
     flipped = Digraph(n, [_reverse(row, n) for row in reversed(digraph.rows)])
     by_size = {m: (value, VertexSet(_reverse(mask, n), n))
                for m, (value, mask) in _blocks_by_size(flipped, sizes).items()}
-    best_value, best_set = _combine_sizes(by_size)
     return SearchReport(
-        best_set=best_set,
-        best_value=best_value,
+        by_size=by_size,
         nodes_visited=required,
         elapsed=time.perf_counter() - t0,
         engine="blocks",
-        by_size=by_size,
     )
 
 
@@ -342,15 +345,12 @@ def branch_bound_max(digraph: Digraph, target_size: int,
         low = pool & -pool
         stack.append((sel, pool ^ low, nsel))
         stack.append((sel | low, pool ^ low, nsel + 1))
-    best_set = VertexSet(best_mask, n)
     return SearchReport(
-        best_set=best_set,
-        best_value=best,
+        by_size={target_size: (best, VertexSet(best_mask, n))},
         nodes_visited=visited,
         pruned=pruned,
         elapsed=time.perf_counter() - t0,
         engine="bb",
-        by_size={target_size: (best, best_set)},
     )
 
 
@@ -371,4 +371,4 @@ def verify_bound(level: int, budget: int = DEFAULT_BUDGET) -> VerifyOutcome:
         raise BudgetExceeded(required, budget)
     report = enumerate_max(ternary_tournament(level), range(params.reg_degree + 1),
                            budget=budget)
-    return VerifyOutcome(params.bound, report, report.best_value <= params.bound)
+    return VerifyOutcome(params.bound, report)

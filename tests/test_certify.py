@@ -71,6 +71,16 @@ class TestPartition:
             partition_parts(VertexSet.full(3), 2)
 
 
+@pytest.mark.parametrize("call", [
+    lambda x: partition_parts(x, 2),
+    lambda x: certify_bound(2, x),
+    lambda x: actual_min_out_degree(2, x),
+], ids=["partition_parts", "certify_bound", "actual_min_out_degree"])
+def test_subset_order_mismatch_has_one_message(call):
+    with pytest.raises(DimensionError, match=r"^subset indexes 8 vertices, level 2 has 9$"):
+        call(VertexSet.empty(8))
+
+
 class TestCertifyExamples:
     def test_empty_at_level_one(self):
         bound, cert = certify_bound(1, VertexSet.empty(3))

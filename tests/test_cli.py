@@ -1,6 +1,8 @@
 """Command-line surface: flags, streams, exit codes, formats."""
 
+import hashlib
 import io
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -338,6 +340,64 @@ class TestDispatch:
                                 stdin=out, monkeypatch=monkeypatch)
         assert code2 == 0
         assert "RESULT max=1 set=0,1,2,6 exact=true" in out2
+
+
+#: sha256 of exit code, stdout and stderr, with ``elapsed`` masked, per
+#: command; {t12} is a seeded 12-vertex tournament, {p3} the punctured
+#: level-3 tournament.  A refactor must leave every digest unchanged.
+GOLDEN = {
+    "verify --k 0":
+        "5e5f603d2affe218e021bd9d56da7976674a589dacbf84d39fe87efa528ab755",
+    "verify --k 1":
+        "a4deaebd63a7ca443d71ab3064923c426e132a5cdff459597a13cb480646df37",
+    "verify --k 2":
+        "226923b08d187c79a689e78db04571f7814892f15160086e47cbd68d82df825c",
+    "generate --k 4":
+        "c8960a656506149cd1e0727d8042bcc63bcc2fabeb2d3530920fbe0f38478eeb",
+    "generate --k 4 --delete-vertex":
+        "be4f939ba668e68b300addae16ec61b63a092dd680c84e004d2c8c5a08fbf653",
+    "certify --k 3 --set":
+        "b3c113c9307727dd66c7708ab4c4d9b3ccde194181dd13cd9d78bea40751ec2e",
+    "certify --k 3 --set 0,1,2":
+        "922ffc3643a23e47fb82fd76051865af1d77282f29ba0bf577ef48c36ca0f2b1",
+    "certify --k 3 --set 0,9,18":
+        "50aafe84c040da3caa69aa2ce82d34e8497c3d7dd45188d18ac3efbf5b038d06",
+    "certify --k 3 --set 0,1,2,3,4,9,10,11,12,13,18":
+        "858efb4e6735a20c4d7d0ce272ac01e00ac2064058981f0fbf7f616aeb2f2a17",
+    "search --input {t12} --size 7 --engine auto":
+        "af50b8913735ece9bf4b14ea461d19dc36ddd2227b62a32fc4102613182c16d4",
+    "search --input {t12} --size 7 --engine blocks":
+        "af50b8913735ece9bf4b14ea461d19dc36ddd2227b62a32fc4102613182c16d4",
+    "search --input {t12} --size 7 --engine bb":
+        "2157c1485bb1b0f01eecd6535ef9998c5252f6fd8f9ce592bd6fdfca518363a9",
+    "split --input {p3} --trials 1":
+        "e8a161a66ab2565749f20ff0cce4c22c4105100561016a53f960c0c4c762ae81",
+    "split --input {p3} --trials 20 --seed 3":
+        "ac0532b4e6fa1127a67c93427c7942843ef08477635cc6a2a2763f749248859b",
+    "table --kmax 12":
+        "9d6c74322e9fd866482cb8aa6c88850433b6025963c470471f901d5403c1f69f",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    t12 = Digraph.from_arcs(12, random_tournament(SplitMix64(7), 12))
+    paths = {}
+    for name, digraph in (("t12", t12), ("p3", punctured_tournament(3))):
+        paths[name] = root / f"{name}.dg"
+        paths[name].write_text(write_digraph(digraph))
+    return paths
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_golden_transcript(capsys, golden_inputs, command):
+    argv = command.format(**golden_inputs).split(" ")
+    if argv[-1] == "--set":
+        argv.append("")  # the empty subset
+    code, out, err = invoke(capsys, argv)
+    transcript = re.sub(r"(elapsed +)\S+", r"\1-", f"{code}\n{out}\n{err}")
+    assert hashlib.sha256(transcript.encode()).hexdigest() == GOLDEN[command]
 
 
 def _matrix_text(n):

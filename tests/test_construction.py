@@ -1,12 +1,14 @@
 """Recursive family construction, closed-form labels, parameters."""
 
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trisplit import (
     Digraph,
-    compose_cyclic,
     level_params,
     punctured_tournament,
     ternary_tournament,
@@ -38,10 +40,6 @@ def test_level_zero_and_one():
     assert t1 == Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
 
 
-def test_builds_are_cached_and_shared():
-    assert ternary_tournament(2) is ternary_tournament(2)
-
-
 def test_regularity_small_levels():
     # acceptance criterion covers k <= 8; spot-check the structure here
     for k in range(6):
@@ -52,23 +50,19 @@ def test_regularity_small_levels():
         assert t.is_tournament()
 
 
-def test_compose_cyclic_block_arcs():
-    a = Digraph.from_arcs(1, [])
-    b = Digraph.from_arcs(2, [(0, 1)])
-    c = Digraph.from_arcs(1, [])
-    d = compose_cyclic(a, b, c)
-    # blocks: a = {0}, b = {1, 2}, c = {3}
-    expected = {(0, 1), (0, 2),          # a -> b
-                (1, 3), (2, 3),          # b -> c
-                (3, 0),                  # c -> a
-                (1, 2)}                  # inside b
-    assert arcs_of(d) == expected
-
-
-def test_compose_cyclic_respects_limit():
-    arcless = Digraph(20000, [0] * 20000)
-    with pytest.raises(ValueError, match="60000 vertices, limit is 59049"):
-        compose_cyclic(arcless, arcless, arcless)
+def test_built_level_is_freed():
+    # nothing keeps a level alive once its caller drops it
+    gc.collect()
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        level = ternary_tournament(8)
+        assert tracemalloc.get_traced_memory()[1] - baseline > 4 << 20  # built here
+        del level
+        gc.collect()
+        assert tracemalloc.get_traced_memory()[0] - baseline < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_ternary_tournament_respects_limit():

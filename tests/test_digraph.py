@@ -1,7 +1,7 @@
 """Dense digraph container, vertex sets, and the text format."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trisplit import (
@@ -9,6 +9,7 @@ from trisplit import (
     DigraphFormatError,
     DimensionError,
     VertexSet,
+    punctured_tournament,
     read_digraph,
     ternary_tournament,
     write_digraph,
@@ -27,6 +28,18 @@ def digraphs(max_n=12):
         lambda n: st.builds(build, st.just(n),
                             st.integers(min_value=0, max_value=(1 << (n * n)) - 1))
     )
+
+
+def _punctured_four_with(two_way):
+    """punctured_tournament(4) with its first arc reversed, or made
+    two-way: a tournament, then a digraph that is not one."""
+    d = punctured_tournament(4)
+    u, v = next(d.arcs())
+    rows = list(d.rows)
+    rows[v] |= 1 << u
+    if not two_way:
+        rows[u] ^= 1 << v
+    return Digraph(d.n, rows)
 
 
 def subsets_of(n):
@@ -136,16 +149,11 @@ class TestDigraph:
         assert d.min_out_degree(vs) == naive_min_out_degree(arcs_of(d), set(vs.ids()))
 
     @settings(max_examples=100)
-    @given(digraphs(9).flatmap(
-        lambda d: st.tuples(st.just(d), subsets_of(d.n))))
-    def test_induced_matches_naive(self, d_vs):
-        d, vs = d_vs
-        sub = d.induced(vs)
-        assert sub.n == len(vs)
-        assert arcs_of(sub) == naive_induced_arcs(arcs_of(d), set(vs.ids()))
-
-    @settings(max_examples=100)
     @given(digraphs(8))
+    @example(Digraph(0, []))
+    @example(Digraph(1, [0]))
+    @example(_punctured_four_with(False))
+    @example(_punctured_four_with(True))
     def test_is_tournament_matches_naive(self, d):
         assert d.is_tournament() == naive_is_tournament(arcs_of(d), d.n)
 
@@ -161,15 +169,18 @@ class TestDigraph:
     @settings(max_examples=50)
     @given(digraphs(10))
     def test_delete_vertex_matches_induced(self, d):
+        arcs = arcs_of(d)
         for v in range(d.n):
-            rest = VertexSet(d.full_set().bits ^ (1 << v), d.n)
-            assert d.delete_vertex(v) == d.induced(rest)
+            sub = d.delete_vertex(v)
+            assert sub.n == d.n - 1
+            assert arcs_of(sub) == naive_induced_arcs(arcs, set(range(d.n)) - {v})
 
     def test_delete_vertex_matches_induced_level_three(self):
         d = ternary_tournament(3)
+        arcs = arcs_of(d)
         for v in range(d.n):
-            rest = VertexSet(d.full_set().bits ^ (1 << v), d.n)
-            assert d.delete_vertex(v) == d.induced(rest)
+            rest = set(range(d.n)) - {v}
+            assert arcs_of(d.delete_vertex(v)) == naive_induced_arcs(arcs, rest)
 
     @settings(max_examples=75)
     @given(digraphs(10))
