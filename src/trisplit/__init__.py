@@ -1,10 +1,10 @@
 """Recursive ternary tournaments and their subset degree bounds.
 
-Construction of the cyclic blow-up family and its punctured
-counterexample form, exhaustive and branch-and-bound search for the
-maximum minimum out-degree over vertex subsets, recursive bound
-certificates mirroring the inductive argument, and random balanced
-split experiments with exact gap tables.
+Construction of the cyclic blow-up family, its punctured
+counterexample form and exact per-level gap tables, exhaustive and
+branch-and-bound search for the maximum minimum out-degree over vertex
+subsets, recursive bound certificates mirroring the inductive
+argument, and random balanced split experiments.
 """
 
 from .certify import (
@@ -15,8 +15,8 @@ from .certify import (
     partition_parts,
 )
 from .construction import (
-    DEFAULT_MAX_VERTICES,
     LevelParams,
+    gap_table,
     level_params,
     punctured_tournament,
     ternary_tournament,
@@ -31,11 +31,9 @@ from .digraph import (
     write_digraph,
 )
 from .experiments import (
-    GapRow,
     SplitMix64,
     SplitSummary,
     SplitTrial,
-    gap_table,
     mix64,
     random_balanced_split,
     split_experiment,

@@ -11,7 +11,8 @@ Subcommands:
 
 Data goes to standard output, diagnostics to standard error.  Exit
 codes: 0 success or pass, 1 verification failure, 2 usage trouble
-(bad flags, unreadable or malformed input, refused budgets).
+(bad flags, unreadable or malformed input, refused budgets, out of
+memory).
 
 `--input -` reads the digraph text format from standard input, so
 `generate` pipes straight into `search` or `split`.
@@ -21,18 +22,20 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
 from .certify import actual_min_out_degree, certify_bound
 from .construction import (
     check_level,
+    gap_table,
     level_params,
     punctured_tournament,
     ternary_tournament,
 )
 from .digraph import Digraph, VertexSet, read_digraph, write_digraph
-from .experiments import gap_table, split_experiment
+from .experiments import split_experiment
 from .search import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -155,9 +158,11 @@ def _cmd_table(args) -> int:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["k", "n", "s", "bound", "gap_num", "gap_den", "log3_s"])
     for row in rows:
-        writer.writerow([row.k, row.n, row.s, row.bound,
+        # display only: log base 3 of s, nan where s = 0
+        log3_s = math.log(row.s, 3) if row.s > 0 else math.nan
+        writer.writerow([row.k, row.reg_degree, row.s, row.bound,
                          row.gap_exact.numerator, row.gap_exact.denominator,
-                         repr(row.log3_s)])
+                         repr(log3_s)])
     return 0
 
 
@@ -219,6 +224,9 @@ def run(argv=None) -> int:
         return args.func(args)
     except (BudgetExceeded, ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"{args.command}: out of memory", file=sys.stderr)
         return 2
 
 

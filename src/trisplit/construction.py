@@ -14,22 +14,24 @@ which must agree bit-for-bit with the recursive builder.
 Deleting one vertex from level k yields the 2n-vertex counterexample
 tournament with minimum out-degree n-1, where n = (3**k - 1) // 2.
 
-Every digraph is a dense bitset matrix, so construction has one limit,
-``DEFAULT_MAX_VERTICES`` vertices.  `check_level` applies it to a level
-without building anything, so callers whose work grows with 3**k can
-refuse a level up front.
+Levels are dense bitset matrices, so the family has one limit, level
+``MAX_LEVEL`` (3**MAX_LEVEL vertices).  `check_level` applies it to a
+level without building anything, so callers whose work grows with 3**k
+can refuse a level up front.  Digraphs read from text have no limit.
+
+`gap_table` lists the closed-form parameters of levels 1..k_max with
+their exact gap s/2 - bound, which telescopes to (k - 1)/2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .digraph import Digraph
 
-#: Largest level construction builds.
+#: Largest level construction builds (dense matrix memory).
 MAX_LEVEL = 10
-#: Construction refuses digraphs larger than this (dense matrix memory).
-DEFAULT_MAX_VERTICES = 3 ** MAX_LEVEL
 #: log2(3) * 10**40 rounded down: level * _LOG2_3 // 10**40 is at most,
 #: and in the tests equal to, the bit length of 3**level minus one.
 _LOG2_3 = 15849625007211561814537389439478165087598
@@ -39,17 +41,23 @@ _LOG2_3 = 15849625007211561814537389439478165087598
 class LevelParams:
     """Exact parameters of the family at one recursion level.
 
-    order       3**level, the number of vertices
+    k           the level
+    order       3**k, the number of vertices
     reg_degree  (order - 1) // 2, the common in- and out-degree
     s           reg_degree - 1, the minimum out-degree of the punctured tournament
-    bound       ((order - 1) // 2 - level) // 2, the subset degree cap
+    bound       (reg_degree - k) // 2, the subset degree cap
     """
 
-    level: int
+    k: int
     order: int
     reg_degree: int
     s: int
     bound: int
+
+    @property
+    def gap_exact(self) -> Fraction:
+        """s/2 - bound, which equals (k - 1)/2."""
+        return Fraction(self.s, 2) - self.bound
 
 
 def level_params(level: int) -> LevelParams:
@@ -64,12 +72,32 @@ def level_params(level: int) -> LevelParams:
     reg = (order - 1) // 2
     assert (reg - level) % 2 == 0
     return LevelParams(
-        level=level,
+        k=level,
         order=order,
         reg_degree=reg,
         s=reg - 1,
         bound=(reg - level) // 2,
     )
+
+
+def gap_table(k_max: int) -> list[LevelParams]:
+    """Parameters of levels 1..k_max, each with its exact gap.
+
+    Nothing here rounds, and no digraph is materialized, so the level
+    count is capped by printing, not by ``MAX_LEVEL``: k_max must lie
+    in 1..9000.  At level 9000 the regular degree has 4294 decimal
+    digits, within the interpreter's default int-to-str limit of 4300,
+    which level 9014 passes.  An out-of-range k_max raises ValueError
+    before any row is computed.
+    """
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    if k_max > 9000:
+        raise ValueError(f"k_max must be <= 9000, got {k_max}")
+    rows = [level_params(k) for k in range(1, k_max + 1)]
+    for row in rows:
+        assert row.gap_exact == Fraction(row.k - 1, 2)
+    return rows
 
 
 def format_count(count: int) -> str:
@@ -82,7 +110,7 @@ def format_count(count: int) -> str:
 
 
 def check_level(level: int) -> None:
-    """Refuse a level whose tournament would exceed ``DEFAULT_MAX_VERTICES``.
+    """Refuse a level above ``MAX_LEVEL``.
 
     The level is compared against ``MAX_LEVEL`` first, and past level
     20000 the message names 3**level by its bit count without computing
@@ -94,7 +122,7 @@ def check_level(level: int) -> None:
         order = (format_count(3 ** level) if level <= 20000
                  else f"at least 2**{level * _LOG2_3 // 10 ** 40}")
         raise ValueError(f"level {level} needs {order} vertices, "
-                         f"limit is {DEFAULT_MAX_VERTICES}")
+                         f"limit is {3 ** MAX_LEVEL}")
 
 
 def ternary_tournament(level: int) -> Digraph:

@@ -73,19 +73,8 @@ class VertexSet:
         member[np.asarray(ids, dtype=np.intp)] = 1
         return cls(_pack_rows(member[None])[0], owner_n)
 
-    @classmethod
-    def empty(cls, owner_n: int) -> "VertexSet":
-        return cls(0, owner_n)
-
-    @classmethod
-    def full(cls, owner_n: int) -> "VertexSet":
-        return cls((1 << owner_n) - 1, owner_n)
-
     def __len__(self) -> int:
         return self.bits.bit_count()
-
-    def __contains__(self, v: int) -> bool:
-        return 0 <= v < self.owner_n and (self.bits >> v) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.ids())
@@ -93,9 +82,6 @@ class VertexSet:
     def ids(self) -> tuple[int, ...]:
         """Member vertices in increasing order."""
         return tuple(np.flatnonzero(_unpack_rows((self.bits,), self.owner_n)[0]).tolist())
-
-    def complement(self) -> "VertexSet":
-        return VertexSet(((1 << self.owner_n) - 1) ^ self.bits, self.owner_n)
 
     def __repr__(self) -> str:
         return f"VertexSet({{{','.join(map(str, self))}}}, n={self.owner_n})"
@@ -148,21 +134,8 @@ class Digraph:
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, arcs={self.arc_count()})"
 
-    def arc(self, u: int, v: int) -> bool:
-        return (self.rows[u] >> v) & 1 == 1
-
-    def arcs(self) -> Iterator[tuple[int, int]]:
-        for u, row in enumerate(self.rows):
-            while row:
-                low = row & -row
-                yield u, low.bit_length() - 1
-                row ^= low
-
     def arc_count(self) -> int:
         return sum(row.bit_count() for row in self.rows)
-
-    def full_set(self) -> VertexSet:
-        return VertexSet.full(self.n)
 
     def _check_set(self, subset: VertexSet) -> None:
         if subset.owner_n != self.n:
@@ -171,13 +144,14 @@ class Digraph:
             )
 
     def min_out_degree(self, subset: VertexSet | None = None) -> int:
-        """Minimum out-degree of the subdigraph induced by ``subset``.
+        """Minimum out-degree of the subdigraph induced by ``subset``
+        (by all vertices when ``subset`` is None).
 
         Defined as 0 for the empty subset.  Degrees are computed in
         place against the full adjacency rows; no induced copy is made.
         """
         if subset is None:
-            subset = self.full_set()
+            return subset_min_degree(self.rows, (1 << self.n) - 1)
         self._check_set(subset)
         return subset_min_degree(self.rows, subset.bits)
 

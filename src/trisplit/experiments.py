@@ -1,4 +1,4 @@
-"""Random balanced splits and exact gap tables.
+"""Random balanced splits.
 
 The split harness samples uniform balanced bipartitions of an
 even-order digraph and records the minimum out-degree of both halves.
@@ -6,22 +6,14 @@ Randomness comes from a self-contained 64-bit generator (splitmix
 style) so runs are bit-identical across platforms and processes; each
 trial draws from its own substream derived from the base seed and the
 trial index, which keeps trials independent of execution order.
-
-The gap table is pure integer/rational arithmetic: for each level it
-reports the punctured tournament's minimum out-degree s, the subset
-degree cap, and their exact gap s/2 - cap, which telescopes to
-(level - 1)/2.  The logarithmic column is display only.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .construction import level_params
 from .digraph import Digraph, VertexSet, _pack_rows, _unpack_rows
 
 _MASK64 = (1 << 64) - 1
@@ -205,53 +197,3 @@ def _split_block(digraph: Digraph, seeds: list[int]) -> list[SplitTrial]:
         for seed, bits, d1, d2 in zip(seeds, _pack_rows(member), delta_one.astype(int).tolist(),
                                       delta_two.astype(int).tolist())
     ]
-
-
-@dataclass(frozen=True)
-class GapRow:
-    """Exact per-level gap record.
-
-    n is the half order (3**k - 1)/2, s = n - 1 is the punctured
-    tournament's minimum out-degree, bound is the subset degree cap,
-    and gap_exact = s/2 - bound, always equal to (k - 1)/2.  log3_s is
-    informational only (nan when s = 0).
-    """
-
-    k: int
-    n: int
-    s: int
-    bound: int
-    gap_exact: Fraction
-    log3_s: float
-
-
-def gap_table(k_max: int) -> list[GapRow]:
-    """Exact gap rows for levels 1..k_max.
-
-    All identity fields are integers or rationals; nothing here
-    rounds.  No digraph is materialized, so the level count is capped
-    by printing, not by the construction size limit: k_max must lie in
-    1..9000.  At level 9000 n has 4294 decimal digits, within the
-    interpreter's default int-to-str limit of 4300, which level 9014
-    passes.  An out-of-range k_max raises ValueError before any row is
-    computed.
-    """
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if k_max > 9000:
-        raise ValueError(f"k_max must be <= 9000, got {k_max}")
-    rows = []
-    for k in range(1, k_max + 1):
-        p = level_params(k)
-        gap = Fraction(p.s, 2) - p.bound
-        assert gap == Fraction(k - 1, 2)
-        rows.append(GapRow(
-            k=k,
-            n=p.reg_degree,
-            s=p.s,
-            bound=p.bound,
-            gap_exact=gap,
-            log3_s=math.log(p.s, 3) if p.s > 0 else math.nan,
-        ))
-    return rows
-

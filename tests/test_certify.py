@@ -51,7 +51,7 @@ class TestPartition:
         assert a.ids() == (0, 1, 2) and len(b) == 0 and len(c) == 0
 
     def test_full_vertex_set(self):
-        a, b, c = partition_parts(VertexSet.full(9), 2)
+        a, b, c = partition_parts(VertexSet((1 << 9) - 1, 9), 2)
         assert a.ids() == (0, 1, 2)
         assert b.ids() == (3, 4, 5)
         assert c.ids() == (6, 7, 8)
@@ -64,11 +64,11 @@ class TestPartition:
 
     def test_level_zero_rejected(self):
         with pytest.raises(ValueError):
-            partition_parts(VertexSet.full(1), 0)
+            partition_parts(VertexSet(1, 1), 0)
 
     def test_owner_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            partition_parts(VertexSet.full(3), 2)
+            partition_parts(VertexSet(0b111, 3), 2)
 
 
 @pytest.mark.parametrize("call", [
@@ -78,12 +78,12 @@ class TestPartition:
 ], ids=["partition_parts", "certify_bound", "actual_min_out_degree"])
 def test_subset_order_mismatch_has_one_message(call):
     with pytest.raises(DimensionError, match=r"^subset indexes 8 vertices, level 2 has 9$"):
-        call(VertexSet.empty(8))
+        call(VertexSet(0, 8))
 
 
 class TestCertifyExamples:
     def test_empty_at_level_one(self):
-        bound, cert = certify_bound(1, VertexSet.empty(3))
+        bound, cert = certify_bound(1, VertexSet(0, 3))
         assert bound == 0 and cert.kind == BASE
         assert cert.replay() == 0
 
@@ -147,7 +147,7 @@ class TestCertifyExamples:
 
     def test_owner_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            certify_bound(2, VertexSet.full(3))
+            certify_bound(2, VertexSet(0b111, 3))
 
     def test_render_mentions_each_node(self):
         _, cert = certify_bound(2, vs([0, 3, 6], 2))
@@ -198,7 +198,7 @@ class TestCertifyQuantified:
 
 class TestMinIdentity:
     def test_full_vertex_set_level_two(self):
-        assert min_identity_check(2, VertexSet.full(9))
+        assert min_identity_check(2, VertexSet((1 << 9) - 1, 9))
 
     def test_singleton_parts(self):
         assert min_identity_check(2, vs([0, 3, 6], 2))
@@ -245,8 +245,9 @@ class TestStructuralScorer:
     def test_empty_singletons_and_full(self):
         for k in range(7):
             order = 3 ** k
-            assert actual_min_out_degree(k, VertexSet.empty(order)) == 0
-            assert actual_min_out_degree(k, VertexSet.full(order)) == (order - 1) // 2
+            assert actual_min_out_degree(k, VertexSet(0, order)) == 0
+            full = VertexSet((1 << order) - 1, order)
+            assert actual_min_out_degree(k, full) == (order - 1) // 2
             for v in {0, order // 2, order - 1}:
                 assert actual_min_out_degree(k, vs([v], k)) == 0
 
@@ -270,6 +271,6 @@ class TestStructuralScorer:
 
     def test_refusals(self):
         with pytest.raises(DimensionError):
-            actual_min_out_degree(2, VertexSet.empty(8))
+            actual_min_out_degree(2, VertexSet(0, 8))
         with pytest.raises(ValueError, match="limit is 59049"):
-            actual_min_out_degree(11, VertexSet.empty(3 ** 11))
+            actual_min_out_degree(11, VertexSet(0, 3 ** 11))

@@ -53,6 +53,13 @@ class TestGenerate:
         code, _, err = invoke(capsys, ["generate", "--k", "-1"])
         assert code == 2 and err
 
+    def test_out_of_memory_is_exit_two(self, capsys, monkeypatch):
+        def exhausted(digraph):
+            raise MemoryError
+        monkeypatch.setattr("trisplit.cli.write_digraph", exhausted)
+        code, out, err = invoke(capsys, ["generate", "--k", "2"])
+        assert (code, out, err) == (2, "", "generate: out of memory\n")
+
 
 class TestVerify:
     def test_level_two_passes(self, capsys):

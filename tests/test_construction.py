@@ -2,6 +2,7 @@
 
 import gc
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from trisplit import (
     Digraph,
+    gap_table,
     level_params,
     punctured_tournament,
     ternary_tournament,
@@ -142,3 +144,27 @@ class TestPunctured:
     def test_still_a_tournament_naive(self):
         d = punctured_tournament(2)
         assert naive_is_tournament(arcs_of(d), d.n)
+
+
+class TestGapTable:
+    def test_pinned_small_rows(self):
+        rows = gap_table(3)
+        assert [(r.k, r.reg_degree, r.s, r.bound) for r in rows] == \
+            [(1, 1, 0, 0), (2, 4, 3, 1), (3, 13, 12, 5)]
+        assert rows[0].gap_exact == 0
+        assert rows[1].gap_exact == Fraction(1, 2)
+        assert rows[2].gap_exact == 1
+
+    def test_identity_holds_exactly_deep(self):
+        for row in gap_table(40):
+            assert row.gap_exact == Fraction(row.k - 1, 2)
+            assert 2 * row.bound == (3 ** row.k - 1) // 2 - row.k
+
+    def test_rejects_empty_table(self):
+        with pytest.raises(ValueError):
+            gap_table(0)
+
+    def test_rejects_unprintable_table(self):
+        assert gap_table(9000)[-1].k == 9000
+        with pytest.raises(ValueError, match="k_max must be <= 9000, got 9001"):
+            gap_table(9001)

@@ -1,8 +1,6 @@
-"""Seeded split trials, the deterministic generator, gap tables."""
+"""Seeded split trials and the deterministic generator."""
 
 import hashlib
-import math
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -12,8 +10,6 @@ from hypothesis import strategies as st
 from trisplit import (
     Digraph,
     SplitMix64,
-    gap_table,
-    level_params,
     mix64,
     punctured_tournament,
     random_balanced_split,
@@ -73,7 +69,7 @@ class TestBalancedSplit:
         d = punctured_tournament(2)
         t = random_balanced_split(d, 11)
         assert len(t.half_one) == 4
-        assert t.half_one.complement().ids() != t.half_one.ids()
+        assert len(set(range(d.n)) - set(t.half_one)) == 4
         assert t.seed == 11
 
     def test_deltas_match_direct_recomputation(self):
@@ -83,7 +79,7 @@ class TestBalancedSplit:
             arcs = arcs_of(d)
             assert t.delta_one == naive_min_out_degree(arcs, set(t.half_one.ids()))
             assert t.delta_two == naive_min_out_degree(
-                arcs, set(t.half_one.complement().ids()))
+                arcs, set(range(d.n)) - set(t.half_one.ids()))
 
     def test_odd_order_rejected(self):
         with pytest.raises(ValueError):
@@ -188,32 +184,3 @@ class TestLockstepSplit:
         wide = random_balanced_split(d, (1 << 64) + 3)
         assert wide.seed == (1 << 64) + 3
         assert wide.half_one == random_balanced_split(d, 3).half_one
-
-
-class TestGapTable:
-    def test_pinned_small_rows(self):
-        rows = gap_table(3)
-        assert [(r.k, r.n, r.s, r.bound) for r in rows] == \
-            [(1, 1, 0, 0), (2, 4, 3, 1), (3, 13, 12, 5)]
-        assert rows[0].gap_exact == 0
-        assert rows[1].gap_exact == Fraction(1, 2)
-        assert rows[2].gap_exact == 1
-
-    def test_identity_holds_exactly_deep(self):
-        for row in gap_table(40):
-            assert row.gap_exact == Fraction(row.k - 1, 2)
-            assert row.bound == level_params(row.k).bound
-
-    def test_log_column_display_only(self):
-        rows = gap_table(3)
-        assert math.isnan(rows[0].log3_s)
-        assert rows[2].log3_s == pytest.approx(math.log(12, 3))
-
-    def test_rejects_empty_table(self):
-        with pytest.raises(ValueError):
-            gap_table(0)
-
-    def test_rejects_unprintable_table(self):
-        assert gap_table(9000)[-1].k == 9000
-        with pytest.raises(ValueError, match="k_max must be <= 9000, got 9001"):
-            gap_table(9001)
