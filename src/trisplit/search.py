@@ -16,7 +16,12 @@ sizes) of the minimum out-degree of the induced subdigraph:
   the same size; such a mask can neither win nor tie.
 * ``branch_bound_max`` (``bb``) proves the same maximum for one size,
   on any number of vertices, by depth-first selection with sound
-  pruning, within a node budget.
+  pruning, within a node budget.  It drops a vertex whose out-degree
+  cannot reach best+1, counting at most as many more out-neighbours as
+  there are picks left, and, in a tournament, a vertex on which more
+  out-neighbours are forced than the arc count allows: an m-set holds
+  C(m,2) arcs, so if every out-degree is at least t = best+1, none
+  exceeds C(m,2) - (m-1)t.
 
 ``auto_engine`` only chooses: ``blocks`` where the sweep runs within
 the budget and its mask build is cheap, ``bb`` otherwise.
@@ -289,27 +294,47 @@ def branch_bound_max(digraph: Digraph, target_size: int,
 
     Depth-first selection in increasing id order, on an explicit stack
     so that depth is not limited by the interpreter's recursion limit.
-    Pruning rules, all sound for the maximum value:
+    At a node, let t = best+1 be the value still to reach, r the picks
+    left to reach size m, and, for a vertex, a and b its out-neighbours
+    among the selected vertices and among the candidates.  A vertex
+    takes r' more picks beside itself: r if selected, r-1 if a
+    candidate.  Pruning rules, each sound because it cuts only
+    branches that hold no m-set of minimum out-degree t or more:
 
     * ceiling: a tournament's size-m subset has a vertex beaten at
       least (m-1)//2 times inside it, so the search stops once the
       running best reaches floor((m-1)/2) (m-1 for general digraphs);
-    * potential: a vertex's out-degree into selected-plus-candidates
-      bounds its final in-set out-degree.  One pass over both, iterated
-      to a fixpoint, drops each candidate whose potential cannot reach
-      best+1, and kills the branch once a selected vertex's cannot;
-    * size: a branch dies when too few candidates remain.
+    * capped potential: a vertex ends with at most a + min(r', b)
+      out-neighbours, since only r' more vertices join beside it;
+    * arc count, tournaments only: an m-vertex tournament holds C(m,2)
+      arcs, so if the other m-1 out-degrees are at least t, a vertex's
+      is at most hi = C(m,2) - (m-1)t; and at least a + max(0, r' - c)
+      out-neighbours are forced on a vertex with c non-out-neighbours
+      left among the candidates.  At t = (m-1)/2, hi = t, and the
+      search asks for a regular subtournament;
+    * size: a branch dies when fewer than r candidates remain.
+
+    A vertex that fails a bound leaves the candidates, or kills the
+    branch when it is selected; one pass over both, iterated to a
+    fixpoint, applies them.  Each vertex costs one popcount, into
+    selected-plus-candidates, for the uncapped a + b < t.  The second,
+    into the selected vertices, is made only at nodes where r <= t or
+    hi < m-1, the only nodes where the other bounds can fire.
 
     Raises :class:`BudgetExceeded` when the search is about to visit
     node ``budget + 1``.
     """
     n = digraph.n
-    if not 0 <= target_size <= n:
-        raise ValueError(f"subset size {target_size} out of range for n={n}")
+    m = target_size
+    if not 0 <= m <= n:
+        raise ValueError(f"subset size {m} out of range for n={n}")
     t0 = time.perf_counter()
     rows = digraph.rows
-    ceiling = (target_size - 1) // 2 if digraph.is_tournament() else target_size - 1
+    tournament = digraph.is_tournament()
+    ceiling = (m - 1) // 2 if tournament else m - 1
     best, best_mask, visited, pruned = -1, 0, 0, 0
+    # the arc-count bound hi; m-1 never cuts, and stays outside tournaments
+    hi = m - 1
     # (selected, candidates, selected count); the include branch pops first
     stack = [(0, (1 << n) - 1, 0)]
     while stack:
@@ -317,36 +342,54 @@ def branch_bound_max(digraph: Digraph, target_size: int,
         if visited >= budget:
             raise BudgetExceeded(visited + 1, budget, "node", " or more")
         visited += 1
-        if nsel == target_size:
+        if nsel == m:
             val = subset_min_degree(rows, sel)
             if val > best:
                 best, best_mask = val, sel
                 if val >= ceiling:
                     break
+                if tournament:
+                    hi = m * (m - 1) // 2 - (m - 1) * (val + 1)
             continue
-        # one potential pass per round, to a fixpoint; a selected vertex
-        # below best+1 leaves ``rest`` nonzero and kills the branch
+        # the bounds of the docstring: deg = a + b, ``others`` is the
+        # candidates' count, and deg + left - others = a + r' - c
+        t = best + 1
+        left = m - nsel
+        split = left <= t or hi < m - 1
+        others = pool.bit_count()
         union = sel | pool
-        while True:
+        dead = others < left
+        while not dead:
+            start = union
             rest = union
             while rest:
                 low = rest & -rest
-                if (rows[low.bit_length() - 1] & union).bit_count() <= best:
-                    if low & sel:
-                        break
-                    pool ^= low
                 rest ^= low
-            if rest or union == sel | pool:
+                row = rows[low.bit_length() - 1]
+                deg = (row & union).bit_count()
+                if deg >= t:
+                    if not split:
+                        continue
+                    a = (row & sel).bit_count()
+                    picks = left if low & sel else left - 1
+                    if a + picks >= t and a <= hi and deg + left - others <= hi:
+                        continue
+                if low & sel or others == left:
+                    dead = True
+                    break
+                union ^= low
+                others -= 1
+            if union == start:
                 break
-            union = sel | pool
-        if rest or pool.bit_count() < target_size - nsel:
+        if dead:
             pruned += 1
             continue
+        pool = union ^ sel
         low = pool & -pool
         stack.append((sel, pool ^ low, nsel))
         stack.append((sel | low, pool ^ low, nsel + 1))
     return SearchReport(
-        by_size={target_size: (best, VertexSet(best_mask, n))},
+        by_size={m: (best, VertexSet(best_mask, n))},
         nodes_visited=visited,
         pruned=pruned,
         elapsed=time.perf_counter() - t0,

@@ -376,7 +376,7 @@ GOLDEN = {
     "search --input {t12} --size 7 --engine blocks":
         "af50b8913735ece9bf4b14ea461d19dc36ddd2227b62a32fc4102613182c16d4",
     "search --input {t12} --size 7 --engine bb":
-        "2157c1485bb1b0f01eecd6535ef9998c5252f6fd8f9ce592bd6fdfca518363a9",
+        "b82f60ec951bc7fb1b1ba08796b8ac8c615332417db95e93719239b94ec4f15d",
     "split --input {p3} --trials 1":
         "e8a161a66ab2565749f20ff0cce4c22c4105100561016a53f960c0c4c762ae81",
     "split --input {p3} --trials 20 --seed 3":
@@ -405,6 +405,18 @@ def test_golden_transcript(capsys, golden_inputs, command):
     code, out, err = invoke(capsys, argv)
     transcript = re.sub(r"(elapsed +)\S+", r"\1-", f"{code}\n{out}\n{err}")
     assert hashlib.sha256(transcript.encode()).hexdigest() == GOLDEN[command]
+
+
+def test_golden_bb_result_matches_the_sweep_up_to_visited(capsys, golden_inputs):
+    """Branch and bound's digest pins its node count; its answer is the
+    sweep's."""
+    lines = {}
+    for engine in ("bb", "blocks"):
+        code, out, _ = invoke(capsys, ["search", "--input", str(golden_inputs["t12"]),
+                                       "--size", "7", "--engine", engine])
+        assert code == 0
+        lines[engine] = out.splitlines()[-1].split(" visited=")[0]
+    assert lines["bb"] == lines["blocks"] == "RESULT max=3 set=0,3,4,5,7,9,11 exact=true"
 
 
 def _matrix_text(n):

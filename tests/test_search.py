@@ -24,7 +24,8 @@ from trisplit import (
 )
 from trisplit.search import _size_classes, auto_engine
 
-from naive import naive_max_over_sizes, random_digraph, random_tournament
+from naive import (arcs_of, naive_max_over_sizes, naive_min_out_degree, random_digraph,
+                   random_tournament)
 
 
 def from_arcset(arcs, n):
@@ -235,7 +236,7 @@ class TestBranchBound:
         d = punctured_tournament(2)
         assert [(r.nodes_visited, r.pruned)
                 for r in (branch_bound_max(d, m) for m in range(1, 9))] == \
-            [(2, 0), (3, 0), (16, 1), (9, 0), (83, 27), (7, 0), (15, 7), (9, 0)]
+            [(2, 0), (3, 0), (10, 1), (9, 0), (29, 14), (7, 0), (15, 7), (9, 0)]
 
     def test_node_budget(self):
         d = punctured_tournament(2)
@@ -254,13 +255,46 @@ class TestBranchBound:
             assert exc.value.required == 1
             assert exc.value.budget == budget
 
-    @pytest.mark.slow
     def test_punctured_level_three_half(self):
         # exact value at the counterexample's own scale; equals the
-        # level cap, and the exhaustive engine agrees
-        r = branch_bound_max(punctured_tournament(3), 13)
+        # level cap, and the exhaustive engine agrees.  The budget makes
+        # a weaker bound refuse instead of running for seconds.
+        r = branch_bound_max(punctured_tournament(3), 13, budget=100_000)
         assert r.best_value == 5
         assert r.exact
+
+    @pytest.mark.slow
+    def test_level_four_five_sets_within_budget(self):
+        # 81-vertex regular tournament, max 1 below the ceiling of 2:
+        # every regular 5-subtournament must be ruled out
+        d = ternary_tournament(4)
+        r = branch_bound_max(d, 5, budget=400_000)
+        assert r.best_value == 1
+        assert len(r.best_set) == 5
+        arcs = arcs_of(d)
+        assert naive_min_out_degree(arcs, set(r.best_set.ids())) == 1
+        # the first attainer in id order: the 5-sets before it score 0
+        assert r.best_set.ids() == (0, 1, 2, 3, 6)
+        assert naive_min_out_degree(arcs, {0, 1, 2, 3, 4}) == 0
+        assert naive_min_out_degree(arcs, {0, 1, 2, 3, 5}) == 0
+
+    def test_every_five_vertex_tournament_against_naive(self):
+        pairs = list(combinations(range(5), 2))
+        for code in range(1 << len(pairs)):
+            arcs = frozenset((u, v) if code >> i & 1 else (v, u)
+                             for i, (u, v) in enumerate(pairs))
+            d = from_arcset(arcs, 5)
+            for m in range(6):
+                r = branch_bound_max(d, m)
+                assert (r.best_value, r.best_set.ids()) == \
+                    naive_max_over_sizes(arcs, 5, [m]), (sorted(arcs), m)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_sweep_on_benchmark_shaped_tournaments(self, seed):
+        # 22 vertices at size 13: most have max 5 under the ceiling of 6,
+        # so the arc-count bound must rule out regular 13-subtournaments
+        d = from_arcset(random_tournament(SplitMix64(1000 + seed), 22), 22)
+        assert branch_bound_max(d, 13).by_size == enumerate_max(d, 13).by_size
 
 
 class TestVerify:
@@ -349,3 +383,13 @@ def test_branch_bound_witness_is_lexicographically_smallest(seed, n, density):
     for m in range(n + 1):
         r = branch_bound_max(d, m)
         assert (r.best_value, r.best_set.ids()) == naive_max_over_sizes(arcs, n, [m])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32),
+       n=st.integers(min_value=6, max_value=14), data=st.data())
+def test_branch_bound_on_tournaments_at_large_sizes(seed, n, data):
+    # sizes of at least n/2, where the arc-count bound can cut
+    m = data.draw(st.integers(min_value=(n + 1) // 2, max_value=n))
+    d = from_arcset(random_tournament(SplitMix64(seed), n), n)
+    assert branch_bound_max(d, m).by_size == enumerate_max(d, m).by_size
