@@ -39,7 +39,6 @@ from .experiments import split_experiment
 from .search import (
     DEFAULT_BUDGET,
     BudgetExceeded,
-    auto_engine,
     branch_bound_max,
     enumerate_max,
     verify_bound,
@@ -114,13 +113,8 @@ def _cmd_certify(args) -> int:
 
 def _cmd_search(args) -> int:
     digraph = _load_digraph(args.input)
-    engine = args.engine
-    if engine == "auto":
-        engine = auto_engine(digraph.n, args.size, args.budget)
-    if engine == "bb":
-        report = branch_bound_max(digraph, args.size, budget=args.budget)
-    else:
-        report = enumerate_max(digraph, args.size, budget=args.budget)
+    search = enumerate_max if args.engine == "blocks" else branch_bound_max
+    report = search(digraph, args.size, budget=args.budget)
     print(_report_lines([
         ("vertices", digraph.n),
         ("size", args.size),
@@ -196,7 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="digraph file, or - for stdin")
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--engine", choices=["auto", "blocks", "bb"],
-                   default="auto")
+                   default="auto",
+                   help="auto and bb run branch and bound; blocks runs the "
+                        "exhaustive sweep (at most 64 vertices) as its cross-check")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_search)
 

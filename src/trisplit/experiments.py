@@ -110,9 +110,21 @@ def random_balanced_split(digraph: Digraph, seed: int) -> SplitTrial:
 
     The half is the first n/2 entries of a seeded partial shuffle of
     the vertex ids, which is uniform over all balanced halves.  Odd
-    vertex counts have no balanced split and are rejected.
+    vertex counts have no balanced split and are rejected.  This is the
+    scalar reference that ``split_experiment``'s blocks must match.
     """
-    return _split_block(digraph, [seed])[0]
+    n = digraph.n
+    if n % 2:
+        raise ValueError(f"balanced split needs an even vertex count, got {n}")
+    rng = SplitMix64(seed)
+    perm = list(range(n))
+    for i in range(n // 2):
+        j = i + rng.next_below(n - i)
+        perm[i], perm[j] = perm[j], perm[i]
+    half = VertexSet.from_ids(perm[:n // 2], n)
+    rest = VertexSet(half.bits ^ ((1 << n) - 1), n)
+    return SplitTrial(seed=seed, half_one=half, delta_one=digraph.min_out_degree(half),
+                      delta_two=digraph.min_out_degree(rest))
 
 
 def split_experiment(digraph: Digraph, trials: int, seed: int) -> SplitSummary:

@@ -23,9 +23,6 @@ sizes) of the minimum out-degree of the induced subdigraph:
   C(m,2) arcs, so if every out-degree is at least t = best+1, none
   exceeds C(m,2) - (m-1)t.
 
-``auto_engine`` only chooses: ``blocks`` where the sweep runs within
-the budget and its mask build is cheap, ``bb`` otherwise.
-
 Both engines break ties toward the subset whose increasing id tuple is
 lexicographically smallest, preferring a nonempty witness when the
 empty set ties.  ``enumerate_max`` relabels the digraph v -> n-1-v, so
@@ -61,8 +58,8 @@ _PRUNE_EVERY = 8
 class BudgetExceeded(RuntimeError):
     """A search would go past its budget.
 
-    ``required`` counts ``noun``: requested subsets, masks the sweep
-    must build, or branch-and-bound nodes.  The noun takes a plural
+    ``required`` counts ``noun``: the subsets of a level's check, masks
+    the sweep must build, or branch-and-bound nodes.  The noun takes a plural
     ``s`` unless ``required`` is 1, and ``qualifier`` follows it.  The
     node count is not known in advance, so there it is the number of
     the node at which the search stopped, ``budget + 1`` for a budget
@@ -133,8 +130,8 @@ def subset_count(n: int, sizes: Iterable[int]) -> int:
     return sum(math.comb(n, m) for m in sizes)
 
 
-def _requested(n: int, sizes, budget: int) -> tuple[tuple[int, ...], int]:
-    """Sorted distinct sizes and their subset count, refused past ``budget``."""
+def _requested(n: int, sizes) -> tuple[int, ...]:
+    """Sorted distinct sizes, each checked to lie in 0..n."""
     if isinstance(sizes, int):
         sizes = [sizes]
     out = tuple(sorted(set(int(m) for m in sizes)))
@@ -143,28 +140,7 @@ def _requested(n: int, sizes, budget: int) -> tuple[tuple[int, ...], int]:
     for m in out:
         if not 0 <= m <= n:
             raise ValueError(f"subset size {m} out of range for n={n}")
-    required = subset_count(n, out)
-    if required > budget:
-        raise BudgetExceeded(required, budget)
-    return out, required
-
-
-def _build_cost(n: int, sizes: tuple[int, ...]) -> int:
-    """Masks the sweep builds: every size class up to the largest size."""
-    return subset_count(n, range(max(sizes) + 1))
-
-
-def auto_engine(n: int, size: int, budget: int = DEFAULT_BUDGET) -> str:
-    """The engine ``search --engine auto`` runs at one subset size.
-
-    ``blocks`` iff n <= 64, 0 <= size <= n and the mask build costs at
-    most min(budget, max(4 * C(n, size), 2**22)) masks; else ``bb``,
-    which refuses by its own rules.  Never raises.
-    """
-    if n <= 64 and 0 <= size <= n and _build_cost(n, (size,)) <= min(
-            budget, max(4 * math.comb(n, size), 1 << 22)):
-        return "blocks"
-    return "bb"
+    return out
 
 
 def _reverse(mask: int, n: int) -> int:
@@ -263,16 +239,17 @@ def enumerate_max(digraph: Digraph, sizes, budget: int = DEFAULT_BUDGET) -> Sear
 
     ``sizes`` is a single size or an iterable of sizes, and the digraph
     has at most 64 vertices.  Refuses with :class:`BudgetExceeded`,
-    before any enumeration, when the family or the mask build (every
-    size class up to the largest size) holds more than ``budget``
-    subsets.  ``nodes_visited`` counts the requested subsets only.
+    before any enumeration, when the mask build (every size class up to
+    the largest size, the requested ones among them) holds more than
+    ``budget`` masks.  ``nodes_visited`` counts the requested subsets
+    only.
     """
     t0 = time.perf_counter()
     n = digraph.n
-    sizes, required = _requested(n, sizes, budget)
+    sizes = _requested(n, sizes)
     if n > 64:
         raise ValueError("blocks engine requires at most 64 vertices")
-    build = _build_cost(n, sizes)
+    build = subset_count(n, range(max(sizes) + 1))
     if build > budget:
         raise BudgetExceeded(build, budget, "mask", " to build")
     # under v -> n-1-v the id-lexicographically smallest witness is the
@@ -282,7 +259,7 @@ def enumerate_max(digraph: Digraph, sizes, budget: int = DEFAULT_BUDGET) -> Sear
                for m, (value, mask) in _blocks_by_size(flipped, sizes).items()}
     return SearchReport(
         by_size=by_size,
-        nodes_visited=required,
+        nodes_visited=subset_count(n, sizes),
         elapsed=time.perf_counter() - t0,
         engine="blocks",
     )

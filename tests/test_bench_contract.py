@@ -2,9 +2,10 @@
 
 ``bench/tracing.py`` patches the functions named in its ``TRACED`` list,
 reads its counts off the results' attributes, and ``bench/run.py``
-writes its inputs through ``trisplit.cli``.  A rename or deletion in
-the package would break the benchmark only when it runs; these checks
-catch it with the test suite.
+writes its inputs through ``trisplit.cli`` and runs its command lines.
+A rename or deletion in the package, or a dropped flag or choice,
+would break the benchmark only when it runs; these checks catch it
+with the test suite.
 """
 
 import importlib
@@ -18,6 +19,7 @@ import pytest
 
 from trisplit import (VertexSet, branch_bound_max, certify_bound, enumerate_max,
                       punctured_tournament, split_experiment)
+from trisplit.cli import build_parser
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -36,6 +38,32 @@ def test_traced_names_resolve(module, attr):
     for name in attr.split("."):
         owner = getattr(owner, name)
     assert callable(owner)
+
+
+def test_benchmark_command_lines_parse(monkeypatch, tmp_path):
+    # run.py imports its sibling modules by name, as when run as a script
+    monkeypatch.syspath_prepend(str(TRACING.parent))
+    spec = importlib.util.spec_from_file_location("bench_run", TRACING.parent / "run.py")
+    bench_run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_run)
+    argvs = []
+
+    class Recorder(bench_run.Runner):
+        def run(self, cli, argv):
+            argvs.append(argv)
+            return super().run(cli, argv)
+
+    cli = importlib.import_module("trisplit.cli")
+    for workload_class in bench_run.WORKLOADS.values():
+        workload = workload_class(0, tmp_path)
+        workload.setup(cli, Recorder())
+        argvs += workload.commands()
+    assert ["generate", "--k", "7", "--delete-vertex"] in argvs
+    assert {argv[0] for argv in argvs} == {"generate", "verify", "search", "split", "certify"}
+    parser = build_parser()
+    for argv in argvs:
+        args = parser.parse_args(argv)  # a refused line exits 2
+        assert callable(args.func), argv
 
 
 def test_cli_exposes_input_writers():

@@ -113,14 +113,14 @@ class TestSearch:
         code, out, _ = invoke(capsys, ["search", "--input", "-", "--size", "3"],
                               stdin=text, monkeypatch=monkeypatch)
         assert code == 0
-        assert out.splitlines()[-1] == "RESULT max=1 set=0,1,2 exact=true visited=1"
+        assert out.splitlines()[-1] == "RESULT max=1 set=0,1,2 exact=true visited=4"
 
     def test_file_input(self, capsys, tmp_path):
         p = tmp_path / "tri.dg"
         p.write_text("3\n010\n001\n100\n")
         code, out, _ = invoke(capsys, ["search", "--input", str(p), "--size", "1"])
         assert code == 0
-        assert "RESULT max=0 set=0 exact=true visited=3" in out
+        assert "RESULT max=0 set=0 exact=true visited=2" in out
 
     def test_engines_selectable(self, capsys, tmp_path):
         p = tmp_path / "tri.dg"
@@ -138,8 +138,8 @@ class TestSearch:
         p.write_text("3\n010\n001\n100\n")
         code, out, _ = invoke(capsys, ["search", "--input", str(p), "--size", "3"])
         assert code == 0
-        assert "engine      blocks" in out.splitlines()
-        assert out.splitlines()[-1] == "RESULT max=1 set=0,1,2 exact=true visited=1"
+        assert "engine      bb" in out.splitlines()
+        assert out.splitlines()[-1] == "RESULT max=1 set=0,1,2 exact=true visited=4"
 
     def test_auto_runs_bb_past_64_vertices(self, capsys, tmp_path):
         arcs = random_digraph(SplitMix64(70), 70)
@@ -190,9 +190,10 @@ class TestSearch:
         assert code == 2 and out == ""
         assert err == "search: search needs 1 node or more, budget allows -1\n"
 
-    @pytest.mark.parametrize("engine, unit", [("auto", "node or more"), ("blocks", "subset")])
+    @pytest.mark.parametrize("engine, unit", [("auto", "node or more"),
+                                              ("blocks", "mask to build")])
     def test_size_zero_at_budget_zero_names_one_unit(self, capsys, tmp_path, engine, unit):
-        # auto falls back to bb, which refuses its first node
+        # auto runs bb, which refuses its first node
         p = tmp_path / "five.dg"
         p.write_text(write_digraph(Digraph.from_arcs(5, [(i, (i + 1) % 5) for i in range(5)])))
         code, out, err = invoke(capsys, ["search", "--input", str(p), "--size", "0",
@@ -372,7 +373,7 @@ GOLDEN = {
     "certify --k 3 --set 0,1,2,3,4,9,10,11,12,13,18":
         "858efb4e6735a20c4d7d0ce272ac01e00ac2064058981f0fbf7f616aeb2f2a17",
     "search --input {t12} --size 7 --engine auto":
-        "af50b8913735ece9bf4b14ea461d19dc36ddd2227b62a32fc4102613182c16d4",
+        "b82f60ec951bc7fb1b1ba08796b8ac8c615332417db95e93719239b94ec4f15d",
     "search --input {t12} --size 7 --engine blocks":
         "af50b8913735ece9bf4b14ea461d19dc36ddd2227b62a32fc4102613182c16d4",
     "search --input {t12} --size 7 --engine bb":
@@ -409,14 +410,17 @@ def test_golden_transcript(capsys, golden_inputs, command):
 
 def test_golden_bb_result_matches_the_sweep_up_to_visited(capsys, golden_inputs):
     """Branch and bound's digest pins its node count; its answer is the
-    sweep's."""
+    sweep's.  ``auto`` runs branch and bound, so its digest is bb's."""
+    assert GOLDEN["search --input {t12} --size 7 --engine auto"] == \
+        GOLDEN["search --input {t12} --size 7 --engine bb"]
     lines = {}
-    for engine in ("bb", "blocks"):
+    for engine in ("auto", "bb", "blocks"):
         code, out, _ = invoke(capsys, ["search", "--input", str(golden_inputs["t12"]),
                                        "--size", "7", "--engine", engine])
         assert code == 0
         lines[engine] = out.splitlines()[-1].split(" visited=")[0]
-    assert lines["bb"] == lines["blocks"] == "RESULT max=3 set=0,3,4,5,7,9,11 exact=true"
+    assert lines["auto"] == lines["bb"] == lines["blocks"] == \
+        "RESULT max=3 set=0,3,4,5,7,9,11 exact=true"
 
 
 def _matrix_text(n):

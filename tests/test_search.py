@@ -22,7 +22,7 @@ from trisplit import (
     ternary_tournament,
     verify_bound,
 )
-from trisplit.search import _size_classes, auto_engine
+from trisplit.search import _size_classes
 
 from naive import (arcs_of, naive_max_over_sizes, naive_min_out_degree, random_digraph,
                    random_tournament)
@@ -154,38 +154,8 @@ class TestEnumerate:
             enumerate_max(d, 2)
         r = branch_bound_max(d, 2)
         assert (r.best_value, r.best_set.ids()) == (0, (0, 1))
-
-
-class TestAutoEngine:
-    def test_sweep_where_its_mask_build_is_cheap(self):
-        assert auto_engine(3, 2) == "blocks"
-        assert auto_engine(22, 13) == "blocks"
-        assert auto_engine(27, 13) == "blocks"
-        assert auto_engine(64, 3) == "blocks"
-
-    def test_branch_and_bound_elsewhere(self):
-        assert auto_engine(65, 1) == "bb"
-        assert auto_engine(28, 27) == "bb"
-        assert auto_engine(40, 37) == "bb"
-
-    def test_build_cost_boundary(self):
-        # every size class of 22 vertices: exactly 2**22 masks
-        assert auto_engine(22, 22) == "blocks"
-        # 2**23 - 1 masks for 23 requested subsets
-        assert auto_engine(23, 22) == "bb"
-
-    def test_bb_where_the_sweep_cannot_run(self):
-        # out of range, or a mask build past the budget: auto never
-        # raises, and branch and bound refuses by its own rules
-        for n, size, budget in [(70, 71, DEFAULT_BUDGET), (10, -1, DEFAULT_BUDGET),
-                                (10, 11, DEFAULT_BUDGET), (70, 5, 100),
-                                (12, 3, 100), (3, 1, -1)]:
-            assert auto_engine(n, size, budget) == "bb"
-        # the build of sizes 0..3 of 12 vertices is 299 masks
-        assert auto_engine(12, 3, 299) == "blocks"
-        assert auto_engine(12, 3, 298) == "bb"
         with pytest.raises(ValueError, match="subset size 71 out of range for n=70"):
-            branch_bound_max(Digraph(70, [0] * 70), 71)
+            branch_bound_max(d, 71)
 
 
 class TestBranchBound:
