@@ -193,7 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default="auto",
                    help="auto and bb run branch and bound; blocks runs the "
                         "exhaustive sweep (at most 64 vertices) as its cross-check")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="max subsets to visit under blocks, max search nodes "
+                        "under auto and bb (default %(default)s)")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("split", help="random balanced split trials, CSV out")

@@ -170,9 +170,13 @@ class TestSearch:
         p = tmp_path / "twelve.dg"
         p.write_text(write_digraph(Digraph.from_arcs(12, [(i, (i + 1) % 12) for i in range(12)])))
         code, out, err = invoke(capsys, ["search", "--input", str(p), "--size", "11",
-                                         "--engine", "blocks", "--budget", "100"])
+                                         "--engine", "blocks", "--budget", "11"])
         assert code == 2 and out == ""
-        assert err == "search: search needs 4095 masks to build, budget allows 100\n"
+        assert err == "search: search needs 12 subsets, budget allows 11\n"
+        code, out, err = invoke(capsys, ["search", "--input", str(p), "--size", "11",
+                                         "--engine", "blocks", "--budget", "12"])
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1].endswith(" visited=12")
 
     def test_bb_honours_budget(self, capsys, tmp_path):
         p = tmp_path / "five.dg"
@@ -191,7 +195,7 @@ class TestSearch:
         assert err == "search: search needs 1 node or more, budget allows -1\n"
 
     @pytest.mark.parametrize("engine, unit", [("auto", "node or more"),
-                                              ("blocks", "mask to build")])
+                                              ("blocks", "subset")])
     def test_size_zero_at_budget_zero_names_one_unit(self, capsys, tmp_path, engine, unit):
         # auto runs bb, which refuses its first node
         p = tmp_path / "five.dg"

@@ -1,5 +1,6 @@
 """Exhaustive and branch-and-bound subset maximization."""
 
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -33,20 +34,32 @@ def from_arcset(arcs, n):
 
 
 class TestMaskIteration:
-    """The sweep's mask build: one ascending array per size class."""
+    """The sweep's half-width size classes: one ascending array per
+    requested size, built up to the middle and complemented past it."""
 
     @pytest.mark.parametrize("n", range(0, 11))
     def test_matches_combinations(self, n):
-        classes = list(_size_classes(n, n, np.uint32))
-        assert [m for m, _ in classes] == list(range(1, n + 1))
-        for m, masks in classes:
+        classes = _size_classes(n, range(n + 1), np.uint32)
+        assert list(classes) == list(range(n + 1))
+        for m, masks in classes.items():
             ref = sorted(sum(1 << i for i in combo)
                          for combo in combinations(range(n), m))
             assert masks.tolist() == ref
 
-    def test_size_zero_and_overfull(self):
-        assert list(_size_classes(5, 0, np.uint32)) == []
-        assert [len(masks) for _, masks in _size_classes(3, 4, np.uint32)] == [3, 3, 1, 0]
+    def test_size_zero_and_past_the_middle(self):
+        assert _size_classes(5, [], np.uint32) == {}
+        assert {m: c.tolist() for m, c in _size_classes(5, [0], np.uint32).items()} == {0: [0]}
+        # C(24, 12) masks would take 10 MB; the classes past the middle
+        # come from classes 0 and 1 alone
+        tracemalloc.start()
+        try:
+            classes = _size_classes(24, [23, 24], np.uint32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert classes[24].tolist() == [(1 << 24) - 1]
+        assert classes[23].tolist() == sorted((1 << 24) - 1 - (1 << i) for i in range(24))
+        assert peak < 4096
 
     def test_counts(self):
         assert subset_count(10, range(4)) == 1 + 10 + 45 + 120
@@ -88,21 +101,19 @@ class TestEnumerate:
             enumerate_max(t1, [])
 
     def test_mask_build_is_charged_to_the_budget(self):
-        # 12 subsets of size 11 requested, but the sweep builds every
-        # size class below it: 2**12 - 1 masks
+        # the sweep charges the 12 subsets of size 11 it visits
         d = Digraph.from_arcs(12, [(i, (i + 1) % 12) for i in range(12)])
         with pytest.raises(BudgetExceeded) as exc:
-            enumerate_max(d, 11, budget=100)
-        assert (exc.value.required, exc.value.budget) == (4095, 100)
-        assert str(exc.value) == "search needs 4095 masks to build, budget allows 100"
-        r = enumerate_max(d, 11, budget=4095)
+            enumerate_max(d, 11, budget=11)
+        assert (exc.value.required, exc.value.budget) == (12, 11)
+        assert str(exc.value) == "search needs 12 subsets, budget allows 11"
+        r = enumerate_max(d, 11, budget=12)
         assert (r.best_value, r.nodes_visited) == (0, 12)
 
     @pytest.mark.parametrize("count, args, text", [
         (1, (), "1 subset"), (2, (), "2 subsets"),
-        (1, ("mask", " to build"), "1 mask to build"),
-        (2, ("mask", " to build"), "2 masks to build"),
         (1, ("node", " or more"), "1 node or more"),
+        (2, ("node", " or more"), "2 nodes or more"),
     ])
     def test_refusal_unit_agrees_with_its_count(self, count, args, text):
         assert str(BudgetExceeded(count, 0, *args)) == f"search needs {text}, budget allows 0"
@@ -156,6 +167,27 @@ class TestEnumerate:
         assert (r.best_value, r.best_set.ids()) == (0, (0, 1))
         with pytest.raises(ValueError, match="subset size 71 out of range for n=70"):
             branch_bound_max(d, 71)
+
+    def test_sweep_allocates_one_tile_not_a_size_class(self):
+        # C(22, 11) = 705,432 masks would take 2.8 MB as one class array
+        d = from_arcset(random_tournament(SplitMix64(22), 22), 22)
+        tracemalloc.start()
+        try:
+            enumerate_max(d, 11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
+    def test_edge_sizes_on_64_bit_masks(self):
+        # the high half sits at bits 32-63; sizes 62-64 take their half
+        # classes past the middle as complements of small ones
+        d = from_arcset(random_tournament(SplitMix64(64), 64), 64)
+        sizes = [1, 2, 62, 63, 64]
+        sweep = enumerate_max(d, sizes)
+        assert sweep.nodes_visited == 64 + 2016 + 2016 + 64 + 1
+        for m in sizes:
+            assert sweep.by_size[m] == branch_bound_max(d, m).by_size[m]
 
 
 class TestBranchBound:
