@@ -6,16 +6,16 @@ sizes) of the minimum out-degree of the induced subdigraph:
 * ``enumerate_max`` (``blocks``) sweeps every subset of each requested
   size of a digraph of at most 64 vertices, and charges the budget one
   unit per subset.  The vertex bits split into a low half of n//2 bits
-  and a high half with the rest; a size-m mask is a high mask of p bits
-  ORed with a low mask of m-p bits.  So the sweep builds only
-  half-width size classes and evaluates each outer OR of two of them
-  in tiles of at most ``_CHUNK`` masks, written into one buffer whose
-  scratch arrays stay in L2; memory is one tile plus the half classes.
-  Per vertex the kernel makes in-place passes: AND with the adjacency
-  row, popcount, OR in a membership byte that makes non-members read
-  255, running minimum.  Every ``_PRUNE_EVERY`` vertices it drops the
-  masks whose running minimum is already below the best value of the
-  earlier tiles of the same size; such a mask can neither win nor tie.
+  and a high half with the rest; a size-m mask is a high mask h of p
+  bits ORed with a low mask l of m-p bits, and a vertex's out-degree
+  into h|l is its degree into h plus its degree into l.  So the sweep
+  builds only half-width size classes and, per tile of at most
+  ``_CHUNK`` (h, l) pairs, two uint8 degree tables over the tile's
+  high and low masks, in which a vertex missing from a mask of its own
+  half reads ``_ABSENT`` more.  A pair's value is the min-plus sum min
+  over v of H[v, h] + L[v, l]: two uint8 passes per vertex, with no
+  full mask built.  Memory is one tile of ``_CHUNK`` uint8 pairs, the
+  tile's n-row degree tables and the half classes.
 * ``branch_bound_max`` (``bb``) proves the same maximum for one size,
   on any number of vertices, by depth-first selection with sound
   pruning, within a node budget.  It drops a vertex whose out-degree
@@ -29,7 +29,7 @@ Both engines break ties toward the subset whose increasing id tuple is
 lexicographically smallest, preferring a nonempty witness when the
 empty set ties.  ``enumerate_max`` relabels the digraph v -> n-1-v, so
 that this witness becomes the numerically largest attaining mask,
-which the kernel keeps (pruning keeps ties), and maps it back once.
+which each tile keeps as its last attainer, and maps it back once.
 ``branch_bound_max`` reaches the subsets of one size in lexicographic
 order, keeps the first attainer of each new best value, and prunes
 only branches that cannot beat the current best.
@@ -50,11 +50,14 @@ from .digraph import Digraph, VertexSet, subset_min_degree
 #: Default ceiling on the subsets, or branch-and-bound nodes, one call may visit.
 DEFAULT_BUDGET = 1 << 27
 
-#: Masks per kernel tile: one tile's scratch arrays fit in L2.
+#: Most vertices the exhaustive sweep takes: one bit each of a uint64 mask.
+_SWEEP_LIMIT = 64
+#: (high, low) pairs per kernel tile: a tile's two uint8 arrays fit in L2.
 _CHUNK = 1 << 16
-#: Vertex passes between compactions of a tile.  At most 8: the
-#: passes in between read their membership bits from one byte.
-_PRUNE_EVERY = 8
+#: Added to a half degree of a vertex missing from that half's mask.  A
+#: half degree is at most 32 and a member's sum at most 63, so a
+#: non-member's sum, at most 191, exceeds every member's in uint8.
+_ABSENT = 128
 
 
 class BudgetExceeded(RuntimeError):
@@ -115,8 +118,8 @@ class VerifyOutcome:
 
     ``report`` is the exact sweep of the level's tournament, and
     ``passed`` says whether its maximum stays within ``bound``.  A
-    level past the construction limit or a family larger than the
-    budget raises instead, so every outcome carries a verdict.
+    level the sweep cannot take or a family larger than the budget
+    raises instead, so every outcome carries a verdict.
     """
 
     bound: int
@@ -150,45 +153,27 @@ def _reverse(mask: int, n: int) -> int:
     return int(format(mask, f"0{n}b")[::-1], 2)
 
 
-def _eval_chunk(masks: np.ndarray, adj: np.ndarray, n: int, bound: int,
-                buffers: tuple[np.ndarray, ...]) -> tuple[int, int]:
-    """(best value, largest mask attaining it) for one tile of masks.
+def _degree_table(adj: np.ndarray, masks: np.ndarray, own: slice) -> np.ndarray:
+    """uint8 table [v, i]: out-degree of vertex v into ``masks[i]``.
 
-    Every ``_PRUNE_EVERY`` vertex passes the masks whose running
-    minimum is already below ``bound`` are dropped: the minimum only
-    falls, so a dropped mask can neither beat nor tie the bound, while
-    every tie survives.  The result is exact when some mask of the
-    tile reaches ``bound``; otherwise it is below ``bound``, and
-    (-1, 0) when every mask was dropped.
+    ``adj`` holds the adjacency rows aligned to the half the masks come
+    from, and ``own`` is that half's vertices, bit b being vertex
+    own.start + b.  An own vertex missing from a mask reads
+    ``_ABSENT`` more, so it loses every minimum.
     """
-    kept, word, plane, member, deg, low, keep = (b[:len(masks)] for b in buffers)
-    low.fill(255)
-    for v in range(n):
-        j = v % _PRUNE_EVERY
-        if j == 0:
-            if v and bound > 0:
-                np.greater_equal(low, bound, out=keep)
-                c = int(np.count_nonzero(keep))
-                if c == 0:
-                    return -1, 0
-                if c < len(masks):
-                    masks = np.compress(keep, masks, out=kept[:c])
-                    low = np.compress(keep, low, out=low[:c])
-                    word, plane, member, deg, keep = (
-                        b[:c] for b in (word, plane, member, deg, keep))
-            # bits v..v+7 of every mask, as one byte
-            np.right_shift(masks, v, out=word)
-            np.copyto(plane, word, casting="unsafe")
-        # member reads 0, non-member 255, so OR-ing it in hides non-members
-        np.right_shift(plane, j, out=member)
-        np.bitwise_and(member, 1, out=member)
-        np.subtract(member, 1, out=member)
-        np.bitwise_and(masks, adj[v], out=word)
-        np.bitwise_count(word, out=deg)
-        np.bitwise_or(deg, member, out=deg)
-        np.minimum(low, deg, out=low)
-    vmax = int(low.max())
-    return vmax, int(masks[low == vmax].max())
+    table = np.empty((len(adj), len(masks)), np.uint8)
+    word = np.empty_like(masks)
+    for v, row in enumerate(adj):
+        np.bitwise_and(masks, row, out=word)
+        np.bitwise_count(word, out=table[v])
+    members = table[own]
+    # bit b of masks[i] at [i, b], for the own vertices' bits
+    bits = np.unpackbits(masks[:, None].astype(masks.dtype.newbyteorder("<")).view(np.uint8),
+                         axis=1, count=len(members), bitorder="little")
+    bits ^= 1
+    bits *= _ABSENT
+    members |= bits.T
+    return table
 
 
 def _size_classes(bits: int, sizes, dtype) -> dict[int, np.ndarray]:
@@ -220,12 +205,14 @@ def _blocks_by_size(digraph: Digraph,
     """(best value, largest mask attaining it) per size, vectorized.
 
     The vertex bits split into a low half of n//2 bits and a high half
-    with the rest, so a size-m mask is a high mask of p bits ORed with a
-    low mask of m-p bits, and the size-m masks are the union over p of
-    the outer ORs of two half-width classes.  Each tile, a block of at
-    most ``_CHUNK`` masks of one outer OR, is written into one buffer
-    and pruned against the best value of the earlier tiles of its size.
-    The kernel keeps ties, so the result does not depend on tile order.
+    with the rest, so a size-m mask is a high mask h of p bits ORed with
+    a low mask l of m-p bits, and a vertex's out-degree into h|l is its
+    degree into h plus its degree into l.  A tile, at most ``_CHUNK``
+    (h, l) pairs of one part p, takes a degree table over its high
+    masks and one over its low masks, and scores every pair as the
+    min-plus sum min over v of H[v, h] + L[v, l].  The half classes
+    ascend, so the last attainer of a tile in row-major order is its
+    largest attaining mask.
     """
     n = digraph.n
     dtype = np.uint32 if n <= 32 else np.uint64
@@ -238,25 +225,31 @@ def _blocks_by_size(digraph: Digraph,
     out: dict[int, tuple[int, int]] = {}
     if 0 in sizes:
         out[0] = (0, 0)
-    # the tile and _eval_chunk's scratch, shared by every tile of the call
-    tile = np.empty(_CHUNK, dtype)
-    buffers = (np.empty(_CHUNK, dtype), np.empty(_CHUNK, dtype),
-               *(np.empty(_CHUNK, np.uint8) for _ in range(4)),
-               np.empty(_CHUNK, bool))
+    high_adj = adj >> dtype(low_bits)
+    # a tile's running minimum and one vertex's sums, shared by every tile
+    buffers = np.empty((2, _CHUNK), np.uint8)
     for m, ps in parts.items():
         best = (-1, 0)
         for p in ps:
-            high, low = highs[p] << dtype(low_bits), lows[m - p]
-            # whole rows of the outer OR per tile, or one row in pieces
+            high, low = highs[p], lows[m - p]
+            # whole rows per tile, or one row in pieces
             width = min(len(low), _CHUNK)
             step = _CHUNK // width
-            for r in range(0, len(high), step):
-                rows = high[r:r + step, None]
-                for c in range(0, len(low), width):
-                    cols = low[c:c + width]
-                    masks = tile[:len(rows) * len(cols)]
-                    np.bitwise_or(rows, cols, out=masks.reshape(len(rows), len(cols)))
-                    best = max(best, _eval_chunk(masks, adj, n, best[0], buffers))
+            for c in range(0, len(low), width):
+                cols = _degree_table(adj, low[c:c + width], slice(0, low_bits))
+                for r in range(0, len(high), step):
+                    rows = _degree_table(high_adj, high[r:r + step], slice(low_bits, n))
+                    shape = (rows.shape[1], cols.shape[1])
+                    mins, sums = buffers[:, :shape[0] * shape[1]].reshape(2, *shape)
+                    np.add(rows[0, :, None], cols[0], out=mins)
+                    for v in range(1, n):
+                        np.add(rows[v, :, None], cols[v], out=sums)
+                        np.minimum(mins, sums, out=mins)
+                    value = int(mins.max())
+                    # the last attainer in row-major order is the largest mask
+                    last = mins.size - 1 - int(np.argmax(mins.ravel()[::-1] == value))
+                    i, j = divmod(last, shape[1])
+                    best = max(best, (value, int(high[r + i]) << low_bits | int(low[c + j])))
         out[m] = best
     return out
 
@@ -267,16 +260,18 @@ def enumerate_max(digraph: Digraph, sizes, budget: int = DEFAULT_BUDGET) -> Sear
     ``sizes`` is a single size or an iterable of sizes, and the digraph
     has at most 64 vertices.  Refuses with :class:`BudgetExceeded`,
     before any enumeration, when the requested sizes hold more than
-    ``budget`` subsets, the count ``nodes_visited`` reports.  Memory is
-    bounded by one tile of ``_CHUNK`` masks, the kernel's scratch and
-    the half-width size classes, none larger than the largest requested
-    class: 3432 masks for every size up to 13 of 27 vertices.
+    ``budget`` subsets, the count ``nodes_visited`` reports.  Each
+    subset is scored as a min-plus sum of two half-class degree tables.
+    Memory is one tile of ``_CHUNK`` uint8 pairs, the tile's n-row
+    degree tables and the half-width size classes, none larger than
+    the largest requested class: 3432 masks for every size up to 13 of
+    27 vertices.
     """
     t0 = time.perf_counter()
     n = digraph.n
     sizes = _requested(n, sizes)
-    if n > 64:
-        raise ValueError("blocks engine requires at most 64 vertices")
+    if n > _SWEEP_LIMIT:
+        raise ValueError(f"blocks engine requires at most {_SWEEP_LIMIT} vertices")
     required = subset_count(n, sizes)
     if required > budget:
         raise BudgetExceeded(required, budget)
@@ -407,9 +402,10 @@ def verify_bound(level: int, budget: int = DEFAULT_BUDGET) -> VerifyOutcome:
 
     Sweeps every subset of size 0..(3**level - 1)//2 of the level's
     tournament and compares the exact maximum against the closed-form
-    bound.  A level past the construction limit raises ValueError, and
-    a family larger than ``budget`` raises :class:`BudgetExceeded`,
-    both before the tournament is built.
+    bound.  A family larger than ``budget`` raises
+    :class:`BudgetExceeded`; a level past the construction limit, or
+    above 3, whose tournament has more than 64 vertices, raises
+    ValueError.  Both refusals come before the tournament is built.
     """
     check_level(level)
     params = level_params(level)
@@ -417,6 +413,9 @@ def verify_bound(level: int, budget: int = DEFAULT_BUDGET) -> VerifyOutcome:
     required = 1 << (params.order - 1)
     if required > budget:
         raise BudgetExceeded(required, budget)
+    if params.order > _SWEEP_LIMIT:
+        raise ValueError(f"level {level} has {params.order} vertices, "
+                         f"the exhaustive sweep takes at most {_SWEEP_LIMIT}")
     report = enumerate_max(ternary_tournament(level), range(params.reg_degree + 1),
                            budget=budget)
     return VerifyOutcome(params.bound, report)

@@ -75,6 +75,18 @@ class TestVerify:
         assert err == ("verify: search needs 1208925819614629174706176 subsets, "
                        "budget allows 134217728\n")
 
+    @pytest.mark.parametrize("k", [4, 8])
+    def test_level_above_three_is_refused_by_its_size(self, capsys, monkeypatch, k):
+        def refuse(*args, **kwargs):
+            raise AssertionError("tournament built for a refused run")
+
+        monkeypatch.setattr("trisplit.search.ternary_tournament", refuse)
+        budget = 1 << (3 ** k - 1)
+        code, out, err = invoke(capsys, ["verify", "--k", str(k), "--budget", str(budget)])
+        assert (code, out) == (2, "")
+        assert err == (f"verify: level {k} has {3 ** k} vertices, "
+                       "the exhaustive sweep takes at most 64\n")
+
     def test_tight_budget_on_small_level(self, capsys):
         code, _, err = invoke(capsys, ["verify", "--k", "2", "--budget", "10"])
         assert code == 2 and "256" in err
@@ -382,6 +394,9 @@ GOLDEN = {
         "af50b8913735ece9bf4b14ea461d19dc36ddd2227b62a32fc4102613182c16d4",
     "search --input {t12} --size 7 --engine bb":
         "b82f60ec951bc7fb1b1ba08796b8ac8c615332417db95e93719239b94ec4f15d",
+    # 26 vertices across many tiles
+    "search --input {p3} --size 13 --engine blocks":
+        "32dbf689a900f0e14ad79e538b11dc53bf069727954a51f7d75602ca4fa92c66",
     "split --input {p3} --trials 1":
         "e8a161a66ab2565749f20ff0cce4c22c4105100561016a53f960c0c4c762ae81",
     "split --input {p3} --trials 20 --seed 3":

@@ -100,7 +100,7 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_max(t1, [])
 
-    def test_mask_build_is_charged_to_the_budget(self):
+    def test_visited_subsets_are_charged_to_the_budget(self):
         # the sweep charges the 12 subsets of size 11 it visits
         d = Digraph.from_arcs(12, [(i, (i + 1) % 12) for i in range(12)])
         with pytest.raises(BudgetExceeded) as exc:
@@ -188,6 +188,13 @@ class TestEnumerate:
         assert sweep.nodes_visited == 64 + 2016 + 2016 + 64 + 1
         for m in sizes:
             assert sweep.by_size[m] == branch_bound_max(d, m).by_size[m]
+        # complete digraph: half degrees reach 32 and member sums 63, the
+        # most a non-member's _ABSENT marker must stay clear of in uint8
+        full = Digraph.from_arcs(64, [(u, v) for u in range(64) for v in range(64) if u != v])
+        sweep = enumerate_max(full, sizes)
+        for m in sizes:
+            value, witness = sweep.by_size[m]
+            assert (value, witness.ids()) == (m - 1, tuple(range(m)))
 
 
 class TestBranchBound:
@@ -345,7 +352,7 @@ def assert_blocks_kernel_exact(d, arcs, sizes, chunk):
 @given(seed=st.integers(min_value=0, max_value=2 ** 32),
        n=st.integers(min_value=1, max_value=11),
        density=st.integers(min_value=1, max_value=3))
-def test_blocks_kernel_pruning_is_exact(chunk, seed, n, density):
+def test_blocks_kernel_is_exact_at_any_tile_size(chunk, seed, n, density):
     rng = SplitMix64(seed)
     arcs = random_digraph(rng, n, density, 4)
     assert_blocks_kernel_exact(from_arcset(arcs, n), arcs, range(n + 1), chunk)
