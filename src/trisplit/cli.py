@@ -67,9 +67,6 @@ def _report_lines(pairs) -> str:
 
 
 def _cmd_generate(args) -> int:
-    if args.delete_vertex and args.k < 1:
-        print("generate: --delete-vertex needs k >= 1", file=sys.stderr)
-        return 2
     build = punctured_tournament if args.delete_vertex else ternary_tournament
     digraph = build(args.k)
     sys.stdout.write(write_digraph(digraph))

@@ -32,9 +32,6 @@ from .digraph import Digraph
 
 #: Largest level construction builds (dense matrix memory).
 MAX_LEVEL = 10
-#: log2(3) * 10**40 rounded down: level * _LOG2_3 // 10**40 is at most,
-#: and in the tests equal to, the bit length of 3**level minus one.
-_LOG2_3 = 15849625007211561814537389439478165087598
 
 
 @dataclass(frozen=True)
@@ -100,29 +97,17 @@ def gap_table(k_max: int) -> list[LevelParams]:
     return rows
 
 
-def format_count(count: int) -> str:
-    """``count`` in decimal, or ``at least 2**b`` past the interpreter's
-    int-to-str digit limit."""
-    try:
-        return str(count)
-    except ValueError:
-        return f"at least 2**{count.bit_length() - 1}"
-
-
 def check_level(level: int) -> None:
-    """Refuse a level above ``MAX_LEVEL``.
+    """Refuse a negative level or one above ``MAX_LEVEL``.
 
-    The level is compared against ``MAX_LEVEL`` first, and past level
-    20000 the message names 3**level by its bit count without computing
-    it, so every refusal takes bounded time.
+    The message names the level and ``MAX_LEVEL`` with its vertex
+    count, never 3**level, so every refusal takes bounded time.
     """
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
     if level > MAX_LEVEL:
-        order = (format_count(3 ** level) if level <= 20000
-                 else f"at least 2**{level * _LOG2_3 // 10 ** 40}")
-        raise ValueError(f"level {level} needs {order} vertices, "
-                         f"limit is {3 ** MAX_LEVEL}")
+        raise ValueError(f"level {level} is above the largest level, "
+                         f"{MAX_LEVEL} ({3 ** MAX_LEVEL} vertices)")
 
 
 def ternary_tournament(level: int) -> Digraph:
@@ -147,8 +132,8 @@ def punctured_tournament(level: int) -> Digraph:
     The result has 2n vertices and minimum out-degree exactly n-1,
     where n = (3**level - 1) // 2.  Requires ``level`` >= 1.
     """
-    if level < 1:
-        raise ValueError("puncturing level 0 would leave the empty digraph")
+    if level == 0:
+        raise ValueError("puncturing needs k >= 1: level 0 has one vertex")
     return ternary_tournament(level).delete_vertex(0)
 
 

@@ -44,7 +44,7 @@ from typing import ClassVar, Iterable
 
 import numpy as np
 
-from .construction import check_level, format_count, level_params, ternary_tournament
+from .construction import check_level, level_params, ternary_tournament
 from .digraph import Digraph, VertexSet, subset_min_degree
 
 #: Default ceiling on the subsets, or branch-and-bound nodes, one call may visit.
@@ -63,18 +63,19 @@ _ABSENT = 128
 class BudgetExceeded(RuntimeError):
     """A search would go past its budget.
 
-    ``required`` counts ``noun``: the subsets a sweep or a level's check
-    would visit, or branch-and-bound nodes.  The noun takes a plural
-    ``s`` unless ``required`` is 1, and ``qualifier`` follows it.  The
-    node count is not known in advance, so there it is the number of
-    the node at which the search stopped, ``budget + 1`` for a budget
-    of at least zero.
+    ``required`` counts ``noun``: the subsets a sweep would visit, at
+    most 2**64 since the sweep takes at most 64 vertices, or
+    branch-and-bound nodes.  The noun takes a plural ``s`` unless
+    ``required`` is 1, and ``qualifier`` follows it.  The node count is
+    not known in advance, so there it is the number of the node at
+    which the search stopped, ``budget + 1`` for a budget of at least
+    zero.
     """
 
     def __init__(self, required: int, budget: int, noun: str = "subset",
                  qualifier: str = ""):
         unit = noun if required == 1 else f"{noun}s"
-        super().__init__(f"search needs {format_count(required)} {unit}{qualifier}, "
+        super().__init__(f"search needs {required} {unit}{qualifier}, "
                          f"budget allows {budget}")
         self.required = required
         self.budget = budget
@@ -316,18 +317,13 @@ def branch_bound_max(digraph: Digraph, target_size: int,
 
     A vertex that fails a bound leaves the candidates, or kills the
     branch when it is selected; one pass over both, iterated to a
-    fixpoint, applies them.  Each vertex costs one popcount, into
-    selected-plus-candidates, for the uncapped a + b < t.  The second,
-    into the selected vertices, is made only at nodes where r <= t or
-    hi < m-1, the only nodes where the other bounds can fire.
+    fixpoint, applies them.
 
     Raises :class:`BudgetExceeded` when the search is about to visit
     node ``budget + 1``.
     """
     n = digraph.n
-    m = target_size
-    if not 0 <= m <= n:
-        raise ValueError(f"subset size {m} out of range for n={n}")
+    (m,) = _requested(n, target_size)
     t0 = time.perf_counter()
     rows = digraph.rows
     tournament = digraph.is_tournament()
@@ -355,7 +351,6 @@ def branch_bound_max(digraph: Digraph, target_size: int,
         # candidates' count, and deg + left - others = a + r' - c
         t = best + 1
         left = m - nsel
-        split = left <= t or hi < m - 1
         others = pool.bit_count()
         union = sel | pool
         dead = others < left
@@ -368,8 +363,6 @@ def branch_bound_max(digraph: Digraph, target_size: int,
                 row = rows[low.bit_length() - 1]
                 deg = (row & union).bit_count()
                 if deg >= t:
-                    if not split:
-                        continue
                     a = (row & sel).bit_count()
                     picks = left if low & sel else left - 1
                     if a + picks >= t and a <= hi and deg + left - others <= hi:
@@ -402,17 +395,14 @@ def verify_bound(level: int, budget: int = DEFAULT_BUDGET) -> VerifyOutcome:
 
     Sweeps every subset of size 0..(3**level - 1)//2 of the level's
     tournament and compares the exact maximum against the closed-form
-    bound.  A family larger than ``budget`` raises
-    :class:`BudgetExceeded`; a level past the construction limit, or
-    above 3, whose tournament has more than 64 vertices, raises
-    ValueError.  Both refusals come before the tournament is built.
+    bound.  A level past the construction limit, or above 3, whose
+    tournament has more than 64 vertices, raises ValueError before the
+    tournament is built.  At levels 0..3 ``enumerate_max`` raises
+    :class:`BudgetExceeded` before it sweeps when the 2**(3**level - 1)
+    subsets exceed ``budget``.
     """
     check_level(level)
     params = level_params(level)
-    # the sizes up to (order-1)/2 hold half of an odd-order set's subsets
-    required = 1 << (params.order - 1)
-    if required > budget:
-        raise BudgetExceeded(required, budget)
     if params.order > _SWEEP_LIMIT:
         raise ValueError(f"level {level} has {params.order} vertices, "
                          f"the exhaustive sweep takes at most {_SWEEP_LIMIT}")

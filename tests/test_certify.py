@@ -272,5 +272,5 @@ class TestStructuralScorer:
     def test_refusals(self):
         with pytest.raises(DimensionError):
             actual_min_out_degree(2, VertexSet(0, 8))
-        with pytest.raises(ValueError, match="limit is 59049"):
+        with pytest.raises(ValueError, match="above the largest level, 10"):
             actual_min_out_degree(11, VertexSet(0, 3 ** 11))

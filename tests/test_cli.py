@@ -3,6 +3,7 @@
 import hashlib
 import io
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -68,24 +69,34 @@ class TestVerify:
         assert "PASS" in out
         assert "exact max" in out and " 1" in out
 
-    def test_budget_refusal(self, capsys):
-        code, out, err = invoke(capsys, ["verify", "--k", "4"])
-        assert code == 2
-        assert out == ""
-        assert err == ("verify: search needs 1208925819614629174706176 subsets, "
-                       "budget allows 134217728\n")
-
-    @pytest.mark.parametrize("k", [4, 8])
+    @pytest.mark.parametrize("k", [4, 8, 10])
     def test_level_above_three_is_refused_by_its_size(self, capsys, monkeypatch, k):
         def refuse(*args, **kwargs):
             raise AssertionError("tournament built for a refused run")
 
         monkeypatch.setattr("trisplit.search.ternary_tournament", refuse)
-        budget = 1 << (3 ** k - 1)
-        code, out, err = invoke(capsys, ["verify", "--k", str(k), "--budget", str(budget)])
+        # one refusal at the default budget and at one covering the subsets,
+        # whose 2**59048 at level 10 passes the default int-to-str digit limit
+        digits = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            for budget in [[], ["--budget", str(1 << (3 ** k - 1))]]:
+                code, out, err = invoke(capsys, ["verify", "--k", str(k), *budget])
+                assert (code, out) == (2, "")
+                assert err == (f"verify: level {k} has {3 ** k} vertices, "
+                               "the exhaustive sweep takes at most 64\n")
+        finally:
+            sys.set_int_max_str_digits(digits)
+
+    def test_budget_refusal(self, capsys, monkeypatch):
+        # the sweep's own count refuses, before any subset is scored
+        def refuse(*args, **kwargs):
+            raise AssertionError("sweep ran for a refused budget")
+
+        monkeypatch.setattr("trisplit.search._blocks_by_size", refuse)
+        code, out, err = invoke(capsys, ["verify", "--k", "3", "--budget", "67108863"])
         assert (code, out) == (2, "")
-        assert err == (f"verify: level {k} has {3 ** k} vertices, "
-                       "the exhaustive sweep takes at most 64\n")
+        assert err == "verify: search needs 67108864 subsets, budget allows 67108863\n"
 
     def test_tight_budget_on_small_level(self, capsys):
         code, _, err = invoke(capsys, ["verify", "--k", "2", "--budget", "10"])
@@ -332,30 +343,22 @@ class TestDispatch:
         ["verify", "--k", "40"],
         ["certify", "--k", "41", "--set", "0"],
         ["generate", "--k", "41"],
+        # 3**level has more decimal digits than the interpreter prints
+        ["verify", "--k", "10000"],
+        ["certify", "--k", "100000", "--set", "0"],
     ])
     def test_huge_level_refused_up_front(self, capsys, argv):
         code, out, err = invoke(capsys, argv)
         assert code == 2 and out == ""
-        assert err == f"{argv[0]}: level {argv[2]} needs {3 ** int(argv[2])} vertices, " \
-                      "limit is 59049\n"
-
-    @pytest.mark.parametrize("argv, bits", [
-        (["verify", "--k", "10000"], 15849),
-        (["certify", "--k", "100000", "--set", "0"], 158496),
-    ])
-    def test_level_past_the_digit_limit_refused(self, capsys, argv, bits):
-        # 3**level has more decimal digits than the interpreter prints
-        code, out, err = invoke(capsys, argv)
-        assert code == 2 and out == ""
-        assert err == f"{argv[0]}: level {argv[2]} needs at least 2**{bits} vertices, " \
-                      "limit is 59049\n"
+        assert err == f"{argv[0]}: level {argv[2]} is above the largest level, " \
+                      "10 (59049 vertices)\n"
 
     def test_level_refusal_takes_bounded_time(self, capsys):
         # 3**100000000 is never computed
         code, out, err = invoke(capsys, ["verify", "--k", "100000000"])
         assert code == 2 and out == ""
-        assert err == "verify: level 100000000 needs at least 2**158496250 vertices, " \
-                      "limit is 59049\n"
+        assert err == "verify: level 100000000 is above the largest level, " \
+                      "10 (59049 vertices)\n"
 
     def test_generate_pipes_into_search(self, capsys, monkeypatch):
         code, out, _ = invoke(capsys, ["generate", "--k", "2"])

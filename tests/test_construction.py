@@ -16,7 +16,6 @@ from trisplit import (
     ternary_tournament,
     trit_arc,
 )
-from trisplit.construction import check_level
 
 from naive import arcs_of, naive_is_tournament
 
@@ -68,18 +67,9 @@ def test_built_level_is_freed():
 
 
 def test_ternary_tournament_respects_limit():
-    with pytest.raises(ValueError, match="level 11 needs 177147 vertices"):
+    with pytest.raises(ValueError, match=r"^level 11 is above the largest level, "
+                                         r"10 \(59049 vertices\)$"):
         ternary_tournament(11)
-
-
-@pytest.mark.parametrize("level", [20000, 20001, 20002, 23456, 31415, 65536, 100001])
-def test_huge_level_refusal_names_the_exact_bit_count(level):
-    # past 20000 levels the refusal does not compute 3**level
-    with pytest.raises(ValueError) as exc:
-        check_level(level)
-    bits = (3 ** level).bit_length() - 1
-    assert str(exc.value) == f"level {level} needs at least 2**{bits} vertices, " \
-                             "limit is 59049"
 
 
 def test_trit_arc_matches_recursive_build():

@@ -2,7 +2,6 @@
 
 import tracemalloc
 from itertools import combinations
-from math import comb
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 
 import trisplit.search
 from trisplit import (
-    DEFAULT_BUDGET,
     Digraph,
     SplitMix64,
     BudgetExceeded,
@@ -272,7 +270,6 @@ class TestBranchBound:
         assert r.best_value == 5
         assert r.exact
 
-    @pytest.mark.slow
     def test_level_four_five_sets_within_budget(self):
         # 81-vertex regular tournament, max 1 below the ceiling of 2:
         # every regular 5-subtournament must be ruled out
@@ -316,19 +313,18 @@ class TestVerify:
 
     def test_budget_refusal_has_no_verdict(self):
         with pytest.raises(BudgetExceeded) as exc:
-            verify_bound(4)
-        assert exc.value.required == sum(comb(81, i) for i in range(41))
-        assert exc.value.budget == DEFAULT_BUDGET
+            verify_bound(3, budget=2 ** 26 - 1)
+        assert exc.value.required == 2 ** 26
+        assert exc.value.budget == 2 ** 26 - 1
 
-    def test_budget_refusal_builds_nothing(self, monkeypatch):
+    def test_vertex_limit_refusal_builds_nothing(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("tournament built for a refused run")
 
         monkeypatch.setattr(trisplit.search, "ternary_tournament", refuse)
-        with pytest.raises(BudgetExceeded) as exc:
+        with pytest.raises(ValueError, match=r"^level 10 has 59049 vertices, "
+                                             r"the exhaustive sweep takes at most 64$"):
             verify_bound(10)
-        assert exc.value.required == 1 << (3 ** 10 - 1)
-        assert str(exc.value).startswith("search needs at least 2**59048 subsets")
 
     def test_witness_level_two_frozen(self):
         assert verify_bound(2).report.best_set.ids() == (0, 1, 2)
