@@ -15,7 +15,8 @@ sizes) of the minimum out-degree of the induced subdigraph:
   half reads ``_ABSENT`` more.  A pair's value is the min-plus sum min
   over v of H[v, h] + L[v, l]: two uint8 passes per vertex, with no
   full mask built.  Memory is one tile of ``_CHUNK`` uint8 pairs, the
-  tile's n-row degree tables and the half classes.
+  tile's n-row degree tables, one block of at most ``_CHUNK`` AND words
+  (or one row) and the half classes.
 * ``branch_bound_max`` (``bb``) proves the same maximum for one size,
   on any number of vertices, by depth-first selection with sound
   pruning, within a node budget.  It drops a vertex whose out-degree
@@ -23,7 +24,11 @@ sizes) of the minimum out-degree of the induced subdigraph:
   there are picks left, and, in a tournament, a vertex on which more
   out-neighbours are forced than the arc count allows: an m-set holds
   C(m,2) arcs, so if every out-degree is at least t = best+1, none
-  exceeds C(m,2) - (m-1)t.
+  exceeds C(m,2) - (m-1)t.  A selected vertex with no slack left
+  decides candidates: one that may gain no more out-neighbours drops
+  its candidate out-neighbours, one that needs every pick left to be
+  an out-neighbour drops the rest, and one that needs all its
+  out-neighbours, or all its non-out-neighbours, picks them.
 
 Both engines break ties toward the subset whose increasing id tuple is
 lexicographically smallest, preferring a nonempty witness when the
@@ -160,13 +165,18 @@ def _degree_table(adj: np.ndarray, masks: np.ndarray, own: slice) -> np.ndarray:
     ``adj`` holds the adjacency rows aligned to the half the masks come
     from, and ``own`` is that half's vertices, bit b being vertex
     own.start + b.  An own vertex missing from a mask reads
-    ``_ABSENT`` more, so it loses every minimum.
+    ``_ABSENT`` more, so it loses every minimum.  The AND+popcount runs
+    on blocks of vertex rows holding at most ``_CHUNK`` words, or on one
+    row where a row alone is longer.
     """
     table = np.empty((len(adj), len(masks)), np.uint8)
-    word = np.empty_like(masks)
-    for v, row in enumerate(adj):
-        np.bitwise_and(masks, row, out=word)
-        np.bitwise_count(word, out=table[v])
+    step = max(1, _CHUNK // len(masks))
+    scratch = np.empty((min(step, len(adj)), len(masks)), masks.dtype)
+    for v in range(0, len(adj), step):
+        block = adj[v:v + step, None]
+        words = scratch[:len(block)]
+        np.bitwise_and(block, masks, out=words)
+        np.bitwise_count(words, out=table[v:v + step])
     members = table[own]
     # bit b of masks[i] at [i, b], for the own vertices' bits
     bits = np.unpackbits(masks[:, None].astype(masks.dtype.newbyteorder("<")).view(np.uint8),
@@ -264,9 +274,9 @@ def enumerate_max(digraph: Digraph, sizes, budget: int = DEFAULT_BUDGET) -> Sear
     ``budget`` subsets, the count ``nodes_visited`` reports.  Each
     subset is scored as a min-plus sum of two half-class degree tables.
     Memory is one tile of ``_CHUNK`` uint8 pairs, the tile's n-row
-    degree tables and the half-width size classes, none larger than
-    the largest requested class: 3432 masks for every size up to 13 of
-    27 vertices.
+    degree tables, one block of AND words and the half-width size
+    classes, none larger than the largest requested class: 3432 masks
+    for every size up to 13 of 27 vertices.
     """
     t0 = time.perf_counter()
     n = digraph.n
@@ -287,6 +297,63 @@ def enumerate_max(digraph: Digraph, sizes, budget: int = DEFAULT_BUDGET) -> Sear
         elapsed=time.perf_counter() - t0,
         engine="blocks",
     )
+
+
+def _settle(rows: list[int], sel: int, pool: int, left: int, t: int,
+            hi: int) -> tuple[int, int, int] | None:
+    """One branch-and-bound node's bounds and forced picks, to a fixpoint.
+
+    Takes the selected and candidate masks, the picks left and the
+    bounds t and hi of :func:`branch_bound_max`, and returns them with
+    every vertex that fails a bound dropped and every forced vertex
+    picked, or None when no m-set under the node reaches t.  With deg =
+    a + b, ``others`` the candidates' count and c a vertex's candidate
+    non-out-neighbours, ``forced`` = deg + left - others = a + r' - c.
+    """
+    others = pool.bit_count()
+    if others < left:
+        return None
+    union = sel | pool
+    while True:
+        # every cut and forced pick takes a candidate
+        start = others
+        rest = union
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            row = rows[low.bit_length() - 1]
+            deg = (row & union).bit_count()
+            if deg >= t:
+                a = (row & sel).bit_count()
+                picks = left if low & sel else left - 1
+                forced = deg + left - others
+                if a + picks >= t and a <= hi and forced <= hi:
+                    # a selected vertex with no slack forces picks, all
+                    # read off this one state
+                    if not low & sel or (a < hi and a + left > t and deg > t
+                                         and forced < hi):
+                        continue
+                    out = row & pool
+                    non = pool ^ out
+                    drop = (out if a == hi else 0) | (non if a + left == t else 0)
+                    take = (out if deg == t else 0) | (non if forced == hi else 0)
+                    if drop | take:
+                        union ^= drop
+                        sel |= take
+                        pool = union ^ sel
+                        rest &= union
+                        others = pool.bit_count()
+                        left -= take.bit_count()
+                        if others < left:
+                            return None
+                    continue
+            if low & sel or others == left:
+                return None
+            union ^= low
+            pool ^= low
+            others -= 1
+        if others == start:
+            return sel, pool, left
 
 
 def branch_bound_max(digraph: Digraph, target_size: int,
@@ -316,8 +383,28 @@ def branch_bound_max(digraph: Digraph, target_size: int,
     * size: a branch dies when fewer than r candidates remain.
 
     A vertex that fails a bound leaves the candidates, or kills the
-    branch when it is selected; one pass over both, iterated to a
-    fixpoint, applies them.
+    branch when it is selected.  A selected vertex that passes them
+    forces picks, with deg = a + b and c its candidate
+    non-out-neighbours:
+
+    * a == hi: one more out-neighbour would break the arc count, so its
+      candidate out-neighbours leave;
+    * a + r == t: it reaches t only if every pick left is an
+      out-neighbour, so its candidate non-out-neighbours leave;
+    * deg == t: it reaches t only with every out-neighbour it has left,
+      so its candidate out-neighbours are selected;
+    * a + r - c == hi: at most hi - a = r - c picks may be
+      out-neighbours, so the other c picks are all its candidate
+      non-out-neighbours, which are selected.
+
+    Each rule too cuts only completions that cannot reach t, so a
+    forced pick lies in every completion that survives, and branching
+    on the lowest candidate, include first, still reaches the sets in
+    lexicographic order.  The four rules read one state of the node: a
+    degree counted before a cut and used after it picks wrongly.  A
+    node whose forced picks fill the set is a leaf.  One pass over the
+    selected vertices and the candidates, iterated to a fixpoint,
+    applies every rule.
 
     Raises :class:`BudgetExceeded` when the search is about to visit
     node ``budget + 1``.
@@ -331,56 +418,32 @@ def branch_bound_max(digraph: Digraph, target_size: int,
     best, best_mask, visited, pruned = -1, 0, 0, 0
     # the arc-count bound hi; m-1 never cuts, and stays outside tournaments
     hi = m - 1
-    # (selected, candidates, selected count); the include branch pops first
-    stack = [(0, (1 << n) - 1, 0)]
+    # (selected, candidates, picks left); the include branch pops first
+    stack = [(0, (1 << n) - 1, m)]
     while stack:
-        sel, pool, nsel = stack.pop()
+        sel, pool, left = stack.pop()
         if visited >= budget:
             raise BudgetExceeded(visited + 1, budget, "node", " or more")
         visited += 1
-        if nsel == m:
-            val = subset_min_degree(rows, sel)
-            if val > best:
-                best, best_mask = val, sel
-                if val >= ceiling:
-                    break
-                if tournament:
-                    hi = m * (m - 1) // 2 - (m - 1) * (val + 1)
-            continue
-        # the bounds of the docstring: deg = a + b, ``others`` is the
-        # candidates' count, and deg + left - others = a + r' - c
-        t = best + 1
-        left = m - nsel
-        others = pool.bit_count()
-        union = sel | pool
-        dead = others < left
-        while not dead:
-            start = union
-            rest = union
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                row = rows[low.bit_length() - 1]
-                deg = (row & union).bit_count()
-                if deg >= t:
-                    a = (row & sel).bit_count()
-                    picks = left if low & sel else left - 1
-                    if a + picks >= t and a <= hi and deg + left - others <= hi:
-                        continue
-                if low & sel or others == left:
-                    dead = True
-                    break
-                union ^= low
-                others -= 1
-            if union == start:
+        if left:
+            node = _settle(rows, sel, pool, left, best + 1, hi)
+            if node is None:
+                pruned += 1
+                continue
+            sel, pool, left = node
+            if left:
+                low = pool & -pool
+                stack.append((sel, pool ^ low, left))
+                stack.append((sel | low, pool ^ low, left - 1))
+                continue
+        # a full set, picked or forced
+        val = subset_min_degree(rows, sel)
+        if val > best:
+            best, best_mask = val, sel
+            if val >= ceiling:
                 break
-        if dead:
-            pruned += 1
-            continue
-        pool = union ^ sel
-        low = pool & -pool
-        stack.append((sel, pool ^ low, nsel))
-        stack.append((sel | low, pool ^ low, nsel + 1))
+            if tournament:
+                hi = m * (m - 1) // 2 - (m - 1) * (val + 1)
     return SearchReport(
         by_size={m: (best, VertexSet(best_mask, n))},
         nodes_visited=visited,

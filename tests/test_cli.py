@@ -392,11 +392,11 @@ GOLDEN = {
     "certify --k 3 --set 0,1,2,3,4,9,10,11,12,13,18":
         "858efb4e6735a20c4d7d0ce272ac01e00ac2064058981f0fbf7f616aeb2f2a17",
     "search --input {t12} --size 7 --engine auto":
-        "b82f60ec951bc7fb1b1ba08796b8ac8c615332417db95e93719239b94ec4f15d",
+        "2f4ed46f8e5abc904573db424bb50a8579f017a78d46595da2be10f30b19e539",
     "search --input {t12} --size 7 --engine blocks":
         "af50b8913735ece9bf4b14ea461d19dc36ddd2227b62a32fc4102613182c16d4",
     "search --input {t12} --size 7 --engine bb":
-        "b82f60ec951bc7fb1b1ba08796b8ac8c615332417db95e93719239b94ec4f15d",
+        "2f4ed46f8e5abc904573db424bb50a8579f017a78d46595da2be10f30b19e539",
     # 26 vertices across many tiles
     "search --input {p3} --size 13 --engine blocks":
         "32dbf689a900f0e14ad79e538b11dc53bf069727954a51f7d75602ca4fa92c66",

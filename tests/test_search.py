@@ -5,7 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trisplit.search
@@ -243,7 +243,7 @@ class TestBranchBound:
         d = punctured_tournament(2)
         assert [(r.nodes_visited, r.pruned)
                 for r in (branch_bound_max(d, m) for m in range(1, 9))] == \
-            [(2, 0), (3, 0), (10, 1), (9, 0), (29, 14), (7, 0), (15, 7), (9, 0)]
+            [(2, 0), (3, 0), (8, 1), (7, 0), (17, 8), (7, 0), (15, 7), (9, 0)]
 
     def test_node_budget(self):
         d = punctured_tournament(2)
@@ -380,8 +380,11 @@ def test_enumerate_property_against_naive(seed, n):
 @given(seed=st.integers(min_value=0, max_value=2 ** 32),
        n=st.integers(min_value=1, max_value=10),
        density=st.integers(min_value=0, max_value=4))
+@example(seed=9, n=10, density=0)
 def test_branch_bound_witness_is_lexicographically_smallest(seed, n, density):
-    # density 0 draws a tournament, so the ceiling stop is exercised too
+    # density 0 draws a tournament, so the ceiling stop is exercised too.
+    # The example's 3-sets go wrong, (0, 3, 8) for (0, 2, 5), if a forced
+    # pick reads a vertex's out-degree from before a cut at the same node.
     rng = SplitMix64(seed)
     arcs = random_tournament(rng, n) if density == 0 else random_digraph(rng, n, density, 4)
     d = from_arcset(arcs, n)
