@@ -46,7 +46,6 @@ from .search import (
     VerifyOutcome,
     branch_bound_max,
     enumerate_max,
-    subset_count,
     verify_bound,
 )
 

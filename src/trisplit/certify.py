@@ -261,6 +261,7 @@ def actual_min_out_degree(level: int, subset: VertexSet) -> int:
     low = np.where(size > 0, 0, order)
     for _ in range(level):
         size, low = size.reshape(-1, 3), low.reshape(-1, 3)
-        low = np.where(size > 0, low + np.roll(size, -1, axis=1), order).min(axis=1)
+        # the next part, cyclically
+        low = np.where(size > 0, low + size[:, [1, 2, 0]], order).min(axis=1)
         size = size.sum(axis=1)
     return int(low[0]) if size[0] else 0

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 from pathlib import Path
@@ -157,6 +158,8 @@ def _cmd_table(args) -> int:
     return 0
 
 
+# built once: in-process callers such as the benchmark call run many times
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trisplit",

@@ -93,7 +93,6 @@ class SplitSummary:
     this record bit for bit.
     """
 
-    seed: int
     trials: tuple[SplitTrial, ...]
 
     @property
@@ -138,12 +137,14 @@ def split_experiment(digraph: Digraph, trials: int, seed: int) -> SplitSummary:
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    if digraph.n % 2:
+        raise ValueError(f"balanced split needs an even vertex count, got {digraph.n}")
     per_block = _rows_per_block(digraph.n)
     records: list[SplitTrial] = []
     for start in range(0, trials, per_block):
         stop = min(trials, start + per_block)
         records += _split_block(digraph, [substream_seed(seed, i) for i in range(start, stop)])
-    return SplitSummary(seed=seed, trials=tuple(records))
+    return SplitSummary(trials=tuple(records))
 
 
 def _rows_per_block(n: int) -> int:
@@ -185,8 +186,6 @@ def _split_block(digraph: Digraph, seeds: list[int]) -> list[SplitTrial]:
     integer below 2**24, so the product is exact.
     """
     n = digraph.n
-    if n % 2:
-        raise ValueError(f"balanced split needs an even vertex count, got {n}")
     member = _shuffled_halves(seeds, n)
     weights = member.astype(np.float32)
     delta_one = np.full(len(seeds), np.inf, dtype=np.float32)

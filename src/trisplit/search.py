@@ -1,43 +1,16 @@
 """Exact maximization of subset minimum out-degree.
 
-Two exact engines compute max over vertex subsets X (of the requested
-sizes) of the minimum out-degree of the induced subdigraph:
+Two exact engines compute the max over vertex subsets X of the
+requested sizes of the minimum out-degree of the induced subdigraph:
 
 * ``enumerate_max`` (``blocks``) sweeps every subset of each requested
-  size of a digraph of at most 64 vertices, and charges the budget one
-  unit per subset.  The vertex bits split into a low half of n//2 bits
-  and a high half with the rest; a size-m mask is a high mask h of p
-  bits ORed with a low mask l of m-p bits, and a vertex's out-degree
-  into h|l is its degree into h plus its degree into l.  So the sweep
-  builds only half-width size classes and, per tile of at most
-  ``_CHUNK`` (h, l) pairs, two uint8 degree tables over the tile's
-  high and low masks, in which a vertex missing from a mask of its own
-  half reads ``_ABSENT`` more.  A pair's value is the min-plus sum min
-  over v of H[v, h] + L[v, l]: two uint8 passes per vertex, with no
-  full mask built.  Memory is one tile of ``_CHUNK`` uint8 pairs, the
-  tile's n-row degree tables, one block of at most ``_CHUNK`` AND words
-  (or one row) and the half classes.
-* ``branch_bound_max`` (``bb``) proves the same maximum for one size,
-  on any number of vertices, by depth-first selection with sound
-  pruning, within a node budget.  It drops a vertex whose out-degree
-  cannot reach best+1, counting at most as many more out-neighbours as
-  there are picks left, and, in a tournament, a vertex on which more
-  out-neighbours are forced than the arc count allows: an m-set holds
-  C(m,2) arcs, so if every out-degree is at least t = best+1, none
-  exceeds C(m,2) - (m-1)t.  A selected vertex with no slack left
-  decides candidates: one that may gain no more out-neighbours drops
-  its candidate out-neighbours, one that needs every pick left to be
-  an out-neighbour drops the rest, and one that needs all its
-  out-neighbours, or all its non-out-neighbours, picks them.
+  size of a digraph of at most 64 vertices; ``budget`` counts subsets.
+* ``branch_bound_max`` (``bb``) proves the maximum for one size on any
+  number of vertices; ``budget`` counts search nodes.
 
-Both engines break ties toward the subset whose increasing id tuple is
-lexicographically smallest, preferring a nonempty witness when the
-empty set ties.  ``enumerate_max`` relabels the digraph v -> n-1-v, so
-that this witness becomes the numerically largest attaining mask,
-which each tile keeps as its last attainer, and maps it back once.
-``branch_bound_max`` reaches the subsets of one size in lexicographic
-order, keeps the first attainer of each new best value, and prunes
-only branches that cannot beat the current best.
+Both return the id-lexicographically smallest attaining subset,
+preferring a nonempty witness when the empty set ties.  How each
+engine works, and why its pruning is sound, is in its docstring.
 """
 
 from __future__ import annotations
@@ -45,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import ClassVar, Iterable
+from typing import ClassVar
 
 import numpy as np
 
@@ -134,11 +107,6 @@ class VerifyOutcome:
     @property
     def passed(self) -> bool:
         return self.report.best_value <= self.bound
-
-
-def subset_count(n: int, sizes: Iterable[int]) -> int:
-    """Number of subsets the size family contains."""
-    return sum(math.comb(n, m) for m in sizes)
 
 
 def _requested(n: int, sizes) -> tuple[int, ...]:
@@ -283,7 +251,7 @@ def enumerate_max(digraph: Digraph, sizes, budget: int = DEFAULT_BUDGET) -> Sear
     sizes = _requested(n, sizes)
     if n > _SWEEP_LIMIT:
         raise ValueError(f"blocks engine requires at most {_SWEEP_LIMIT} vertices")
-    required = subset_count(n, sizes)
+    required = sum(math.comb(n, m) for m in sizes)
     if required > budget:
         raise BudgetExceeded(required, budget)
     # under v -> n-1-v the id-lexicographically smallest witness is the
@@ -400,7 +368,8 @@ def branch_bound_max(digraph: Digraph, target_size: int,
     Each rule too cuts only completions that cannot reach t, so a
     forced pick lies in every completion that survives, and branching
     on the lowest candidate, include first, still reaches the sets in
-    lexicographic order.  The four rules read one state of the node: a
+    lexicographic order; the search keeps the first attainer of each
+    new best value.  The four rules read one state of the node: a
     degree counted before a cut and used after it picks wrongly.  A
     node whose forced picks fill the set is a leaf.  One pass over the
     selected vertices and the candidates, iterated to a fixpoint,

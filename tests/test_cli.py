@@ -2,8 +2,11 @@
 
 import hashlib
 import io
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from trisplit import (
     ternary_tournament,
     write_digraph,
 )
+import trisplit
 from trisplit.cli import run
 
 from naive import naive_max_over_sizes, naive_min_out_degree, random_digraph, random_tournament
@@ -327,6 +331,30 @@ class TestDispatch:
 
     def test_help_exits_clean(self, capsys):
         assert invoke(capsys, ["--help"])[0] == 0
+
+    def test_parser_is_built_once_per_import(self):
+        # in-process callers run many commands; count the top-level
+        # parsers that three of them construct in a fresh interpreter
+        script = "\n".join([
+            "import argparse, contextlib, io",
+            "built = []",
+            "init = argparse.ArgumentParser.__init__",
+            "def counted(self, *args, **kwargs):",
+            "    built.append(kwargs.get('prog'))",
+            "    init(self, *args, **kwargs)",
+            "argparse.ArgumentParser.__init__ = counted",
+            "from trisplit.cli import run",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    codes = [run(['table', '--kmax', '1']) for _ in range(3)]",
+            "print(codes, built.count('trisplit'))",
+        ])
+        src = str(Path(trisplit.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[0, 0, 0] 1\n"
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--threads", "2", "--k", "2"],

@@ -128,6 +128,17 @@ class TestSplitExperiment:
         with pytest.raises(ValueError):
             split_experiment(punctured_tournament(1), 0, seed=0)
 
+    def test_odd_order_refused_before_sampling(self, monkeypatch):
+        def sampled(seeds, n):
+            raise AssertionError("an odd order was sampled")
+        monkeypatch.setattr("trisplit.experiments._shuffled_halves", sampled)
+        odd = Digraph.from_arcs(5, [])
+        with pytest.raises(ValueError,
+                           match="^balanced split needs an even vertex count, got 5$"):
+            split_experiment(odd, 3, seed=0)
+        with pytest.raises(ValueError, match="^need at least one trial, got 0$"):
+            split_experiment(odd, 0, seed=0)
+
     def test_level_two_sampled_halves_never_beat_exhaustive(self):
         d = punctured_tournament(2)
         arcs = arcs_of(d)

@@ -1,0 +1,62 @@
+"""The README's command-line examples, run through the CLI in process."""
+
+import io
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from trisplit.cli import run
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _examples():
+    """(command line, shown output lines) for each ``$ trisplit`` line
+    of the README's "Command line" block."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("$ "):
+            examples.append((line[2:], []))
+        elif line and not line.startswith("#") and examples:
+            examples[-1][1].append(line)
+    return examples
+
+
+def _masked(line):
+    return re.sub(r"^(elapsed\s+)\d+\.\d+s$", r"\1*", line)
+
+
+def _matches(shown, actual):
+    """Whether ``actual`` reads as ``shown``, a ``...`` line standing
+    for any run of lines."""
+    if not shown:
+        return not actual
+    if shown[0] == "...":
+        return any(_matches(shown[1:], actual[i:]) for i in range(len(actual) + 1))
+    return bool(actual) and _masked(shown[0]) == _masked(actual[0]) \
+        and _matches(shown[1:], actual[1:])
+
+
+EXAMPLES = _examples()
+
+
+def test_the_block_has_examples():
+    assert len(EXAMPLES) >= 5
+
+
+@pytest.mark.parametrize("command, shown", EXAMPLES, ids=[c for c, _ in EXAMPLES])
+def test_readme_example(capsys, monkeypatch, command, shown):
+    out = None
+    for stage in command.split(" | "):
+        argv = shlex.split(stage)
+        assert argv[0] == "trisplit"
+        if out is not None:
+            monkeypatch.setattr("sys.stdin", io.StringIO(out))
+        code = run(argv[1:])
+        out = capsys.readouterr().out
+        assert code == 0, stage
+    assert _matches(shown, out.splitlines()), out

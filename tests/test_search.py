@@ -17,7 +17,6 @@ from trisplit import (
     branch_bound_max,
     enumerate_max,
     punctured_tournament,
-    subset_count,
     ternary_tournament,
     verify_bound,
 )
@@ -58,10 +57,6 @@ class TestMaskIteration:
         assert classes[24].tolist() == [(1 << 24) - 1]
         assert classes[23].tolist() == sorted((1 << 24) - 1 - (1 << i) for i in range(24))
         assert peak < 4096
-
-    def test_counts(self):
-        assert subset_count(10, range(4)) == 1 + 10 + 45 + 120
-        assert subset_count(27, range(14)) == 1 << 26
 
 
 class TestEnumerate:
@@ -107,6 +102,8 @@ class TestEnumerate:
         assert str(exc.value) == "search needs 12 subsets, budget allows 11"
         r = enumerate_max(d, 11, budget=12)
         assert (r.best_value, r.nodes_visited) == (0, 12)
+        # every subset of each requested size: 1 + 10 + 45 + 120
+        assert enumerate_max(Digraph.from_arcs(10, []), range(4)).nodes_visited == 176
 
     @pytest.mark.parametrize("count, args, text", [
         (1, (), "1 subset"), (2, (), "2 subsets"),
