@@ -24,9 +24,9 @@ two_large   after rotation the first two parts both have size at least
             minimum by at most one, and the third part is added whole.
 
 At least one shape always applies: of the three part sizes, two lie on
-the same side of t.  When several rotations qualify, the smallest
-rotation wins, and a two_small split is preferred over two_large;
-with those tie-breaks the certifier is a pure function of (level, X).
+the same side of t.  The certifier picks the first shape in the order
+empty_part, two_small, two_large that applies, at its smallest
+qualifying rotation, so it is a pure function of (level, X).
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ BASE = "base"
 EMPTY_PART = "empty_part"
 TWO_SMALL = "two_small"
 TWO_LARGE = "two_large"
+# the tie-break order; see the module docstring
+SHAPES = (EMPTY_PART, TWO_SMALL, TWO_LARGE)
 
 
 @dataclass(frozen=True)
@@ -69,76 +71,53 @@ class BoundCertificate:
         otherwise returns the recomputed bound, which equals
         ``claimed_bound`` on every certificate this module produces.
         """
-        bound = self._replay_node()
+        bound = 0
+        if self.kind == BASE:
+            if len(self.subset) != 0 and self.level != 0:
+                raise ValueError("base node on a nonempty subset above level 0")
+        else:
+            # partition_parts refuses a shape node below level 1
+            parts = partition_parts(self.subset, self.level)
+            r = self.rotation
+            shape = _shape(self.kind, self.level, parts, r) if r in (0, 1, 2) else None
+            if shape is None:
+                raise ValueError(f"no {self.kind!r} shape at rotation {r!r} fits "
+                                 f"part sizes {tuple(len(p) for p in parts)}")
+            bound, part = shape
+            if part is not None:
+                child = self.child
+                if child is None or child.level != self.level - 1:
+                    raise ValueError(f"{self.kind} node needs a level-{self.level - 1} child")
+                cs = child.subset
+                if (cs.owner_n != part.owner_n or cs.bits & ~part.bits
+                        or len(cs) != min(len(part), _cap(part.owner_n))):
+                    raise ValueError(f"{self.kind} child does not fit the part it certifies")
+                bound += child.replay()
         if bound != self.claimed_bound:
             raise ValueError(
                 f"claimed bound {self.claimed_bound} != replayed bound {bound}"
             )
         return bound
 
-    def _replay_node(self) -> int:
-        if self.kind == BASE:
-            if len(self.subset) != 0 and self.level != 0:
-                raise ValueError("base node on a nonempty subset above level 0")
-            return 0
-        if self.level < 1:
-            raise ValueError(f"{self.kind} node at level {self.level}")
-        third = 3 ** (self.level - 1)
-        t = (third - 1) // 2
-        parts = partition_parts(self.subset, self.level)
-        r = self.rotation
-        if r not in (0, 1, 2):
-            raise ValueError(f"bad rotation {r!r}")
-        x_a, x_b, x_c = (len(parts[(i + r) % 3]) for i in range(3))
-        if self.kind == EMPTY_PART:
-            if x_b != 0 or x_a == 0:
-                raise ValueError("empty_part rotation does not empty the middle part")
-            return t
-        if self.child is None or self.child.level != self.level - 1:
-            raise ValueError(f"{self.kind} node needs a level-{self.level - 1} child")
-        child_bound = self.child.replay()
-        if self.kind == TWO_SMALL:
-            if min(x_a, x_b, x_c) == 0:
-                raise ValueError("two_small node with an empty part")
-            if x_a > t or x_b > t:
-                raise ValueError("two_small hypothesis violated")
-            if self.child.subset != _local_part(parts[r % 3], r % 3, third):
-                raise ValueError("child subset is not the rotated first part")
-            return child_bound + x_b
-        if self.kind == TWO_LARGE:
-            if min(x_a, x_b, x_c) == 0:
-                raise ValueError("two_large node with an empty part")
-            if x_a < t + 1 or x_b < t + 1:
-                raise ValueError("two_large hypothesis violated")
-            local_b = _local_part(parts[(1 + r) % 3], (1 + r) % 3, third)
-            chosen = self.child.subset
-            if len(chosen) != t or chosen.owner_n != third or chosen.bits & ~local_b.bits:
-                raise ValueError("two_large child is not a size-t subset of the second part")
-            return child_bound + (x_b - t) + x_c
-        raise ValueError(f"unknown certificate kind {self.kind!r}")
-
     def render(self) -> str:
         """Indented text form, one node per line."""
         lines: list[str] = []
-        self._render_into(lines, 0)
+        node, pad = self, ""
+        while node is not None:
+            if node.kind == BASE:
+                lines.append(f"{pad}base level={node.level} |X|={len(node.subset)} "
+                             f"bound={node.claimed_bound}")
+            else:
+                parts = partition_parts(node.subset, node.level)
+                r = node.rotation
+                sizes = tuple(len(parts[(i + r) % 3]) for i in range(3))
+                extra = f" |S|={len(node.child.subset)}" if node.kind == TWO_LARGE else ""
+                lines.append(
+                    f"{pad}{node.kind} r={r} level={node.level} |X|={len(node.subset)} "
+                    f"parts={sizes}{extra} bound={node.claimed_bound}"
+                )
+            node, pad = node.child, pad + "  "
         return "\n".join(lines)
-
-    def _render_into(self, lines: list[str], depth: int) -> None:
-        pad = "  " * depth
-        if self.kind == BASE:
-            lines.append(f"{pad}base level={self.level} |X|={len(self.subset)} "
-                         f"bound={self.claimed_bound}")
-            return
-        parts = partition_parts(self.subset, self.level)
-        r = self.rotation
-        sizes = tuple(len(parts[(i + r) % 3]) for i in range(3))
-        extra = f" |S|={len(self.child.subset)}" if self.kind == TWO_LARGE else ""
-        lines.append(
-            f"{pad}{self.kind} r={r} level={self.level} |X|={len(self.subset)} "
-            f"parts={sizes}{extra} bound={self.claimed_bound}"
-        )
-        if self.child is not None:
-            self.child._render_into(lines, depth + 1)
 
 
 def _check_order(subset: VertexSet, level: int) -> int:
@@ -166,9 +145,9 @@ def partition_parts(subset: VertexSet, level: int) -> tuple[VertexSet, VertexSet
     )
 
 
-def _local_part(part: VertexSet, block_index: int, third: int) -> VertexSet:
-    """Re-index a one-block subset into level-(k-1) coordinates."""
-    return VertexSet(part.bits >> (block_index * third), third)
+def _cap(order: int) -> int:
+    """The largest subset size certified on ``order`` vertices."""
+    return (order - 1) // 2
 
 
 def certify_bound(level: int, subset: VertexSet) -> tuple[int, BoundCertificate]:
@@ -179,50 +158,52 @@ def certify_bound(level: int, subset: VertexSet) -> tuple[int, BoundCertificate]
     ``level_params(level).bound``, and the actual minimum out-degree of
     the induced subdigraph never exceeds the returned bound.
     """
-    cap = (_check_order(subset, level) - 1) // 2
+    cap = _cap(_check_order(subset, level))
     if len(subset) > cap:
         raise ValueError(f"subset size {len(subset)} exceeds precondition {cap}")
-    return _certify(level, subset)
+    cert = _certify(level, subset)
+    return cert.claimed_bound, cert
 
 
-def _certify(level: int, subset: VertexSet) -> tuple[int, BoundCertificate]:
-    if level == 0 or len(subset) == 0:
-        cert = BoundCertificate(BASE, level, subset, 0)
-        return 0, cert
+def _shape(kind: str, level: int, parts: tuple[VertexSet, ...], r: int):
+    """One shape's step at rotation ``r``, or None if its hypotheses fail.
+
+    The step is what the node adds to its child's bound, and the part
+    the child certifies, in level-(k-1) coordinates (None: no child).
+    A two_large child certifies t ids of that part.
+    """
     third = 3 ** (level - 1)
-    t = (third - 1) // 2
+    t = _cap(third)
+    x_a, x_b, x_c = len(parts[r]), len(parts[(r + 1) % 3]), len(parts[(r + 2) % 3])
+    if kind == EMPTY_PART and x_b == 0 < x_a:
+        return t, None
+    if min(x_a, x_b, x_c) == 0:
+        return None
+    if kind == TWO_SMALL and x_a <= t and x_b <= t:
+        step, j = x_b, r
+    elif kind == TWO_LARGE and x_a > t and x_b > t:
+        step, j = (x_b - t) + x_c, (1 + r) % 3
+    else:
+        return None
+    return step, VertexSet(parts[j].bits >> (j * third), third)
+
+
+def _certify(level: int, subset: VertexSet) -> BoundCertificate:
+    if level == 0 or len(subset) == 0:
+        return BoundCertificate(BASE, level, subset, 0)
     parts = partition_parts(subset, level)
-    sizes = tuple(len(p) for p in parts)
-
-    if min(sizes) == 0:
-        for r in range(3):
-            if sizes[(1 + r) % 3] == 0 and sizes[r % 3] > 0:
-                cert = BoundCertificate(EMPTY_PART, level, subset, t, rotation=r)
-                return t, cert
-        raise AssertionError("unreachable: nonempty X with an empty part")
-
-    # all parts nonempty: two sizes share a side of t (pigeonhole);
-    # prefer the small side, then the smallest qualifying rotation
-    for r in range(3):
-        x_a, x_b = sizes[r % 3], sizes[(1 + r) % 3]
-        if x_a <= t and x_b <= t:
-            local_a = _local_part(parts[r % 3], r % 3, third)
-            child_bound, child = _certify(level - 1, local_a)
-            bound = child_bound + x_b
-            cert = BoundCertificate(TWO_SMALL, level, subset, bound,
-                                    rotation=r, child=child)
-            return bound, cert
-    for r in range(3):
-        x_a, x_b, x_c = (sizes[(i + r) % 3] for i in range(3))
-        if x_a >= t + 1 and x_b >= t + 1:
-            local_b = _local_part(parts[(1 + r) % 3], (1 + r) % 3, third)
-            chosen = VertexSet.from_ids(local_b.ids()[:t], third)
-            child_bound, child = _certify(level - 1, chosen)
-            bound = child_bound + (x_b - t) + x_c
-            cert = BoundCertificate(TWO_LARGE, level, subset, bound,
-                                    rotation=r, child=child)
-            return bound, cert
-    raise AssertionError("unreachable: pigeonhole guarantees a case")
+    # at least one shape fits: two part sizes share a side of t
+    kind, r, (bound, part) = next(
+        (kind, r, shape) for kind in SHAPES for r in range(3)
+        if (shape := _shape(kind, level, parts, r)) is not None)
+    child = None
+    if part is not None:
+        t = _cap(part.owner_n)
+        if len(part) > t:  # two_large: the first t ids
+            part = VertexSet.from_ids(part.ids()[:t], part.owner_n)
+        child = _certify(level - 1, part)
+        bound += child.claimed_bound
+    return BoundCertificate(kind, level, subset, bound, rotation=r, child=child)
 
 
 def min_identity_check(level: int, subset: VertexSet) -> bool:

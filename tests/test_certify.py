@@ -1,5 +1,6 @@
 """Recursive bound certificates and the three-way min identity."""
 
+import hashlib
 import random
 from dataclasses import replace
 
@@ -127,15 +128,29 @@ class TestCertifyExamples:
                 replace(cert, child=child).replay()
 
     def test_empty_part_rotation_choice(self):
-        # parts (empty, nonempty, nonempty): rotation 2 puts the empty
-        # block in the middle role with a nonempty first role
-        x = vs([3, 6], 2)
-        bound, cert = certify_bound(2, x)
-        assert cert.kind in (EMPTY_PART, TWO_SMALL)
+        # parts (empty, nonempty, nonempty): rotation 2 is the smallest
+        # that puts the empty block in the middle role behind a nonempty
+        # first role, and empty_part wins over two_small
+        bound, cert = certify_bound(2, vs([3, 6], 2))
+        assert (cert.kind, cert.rotation, bound) == (EMPTY_PART, 2, 1)
         _, cert2 = certify_bound(2, vs([3], 2))
-        assert cert2.kind == EMPTY_PART
-        assert cert2.rotation in (0, 1, 2)
+        assert (cert2.kind, cert2.rotation) == (EMPTY_PART, 1)
         assert cert2.replay() == cert2.claimed_bound
+
+    def test_renders_are_frozen(self):
+        # every node's kind, rotation, part sizes and bound, over all shapes
+        rng = random.Random(20261019)
+        digest, kinds = hashlib.sha256(), set()
+        for k in range(1, 7):
+            order = 3 ** k
+            for _ in range(50):
+                ids = rng.sample(range(order), rng.randint(0, (order - 1) // 2))
+                _, cert = certify_bound(k, vs(ids, k))
+                kinds.add(cert.kind)
+                digest.update(cert.render().encode() + b"\n\n")
+        assert kinds == {BASE, EMPTY_PART, TWO_SMALL, TWO_LARGE}
+        assert digest.hexdigest() == (
+            "33548a41f6246f1c033e27061150fe1e061a52ae98d91f34a69052f924d2dc7c")
 
     def test_deterministic(self):
         x = vs([0, 3, 6, 7], 2)
@@ -155,6 +170,54 @@ class TestCertifyExamples:
         lines = text.splitlines()
         assert lines[0].startswith(TWO_SMALL)
         assert any(line.strip().startswith((BASE, EMPTY_PART)) for line in lines[1:])
+
+
+def cert_of(ids, k):
+    return certify_bound(k, vs(ids, k))[1]
+
+
+def malformed():
+    """One certificate per replay refusal, each consistent but for it.
+
+    At level 2 the parts are the blocks {0,1,2}, {3,4,5}, {6,7,8} and
+    t = 1; a forged node's claimed bound is what replay would compute
+    if the refusal were missing.
+    """
+    small = cert_of([0, 3, 6], 2)  # two_small r=0, child {0}, bound 0 + 1
+    large = cert_of([0, 1, 2, 3, 4, 9, 10, 11, 12, 13, 18, 19, 20], 3)
+    one = cert_of([0], 1)  # bound 0
+    return {
+        "base_above_level_zero": replace(small, kind=BASE, claimed_bound=0, child=None),
+        "shape_below_level_one": replace(cert_of([], 0), kind=EMPTY_PART, rotation=0),
+        "unknown_kind": replace(small, kind="three_small"),
+        "bad_rotation": replace(small, rotation=3),
+        # parts (0, 1, 0): rotation 0 leaves the first role empty
+        "empty_part_hypotheses": replace(cert_of([3], 2), rotation=0),
+        # parts (1, 1, 0) and (2, 2, 0): sizes fit, but a part is empty
+        "two_small_empty_part": replace(
+            cert_of([0, 3], 2), kind=TWO_SMALL, rotation=0, child=one, claimed_bound=1),
+        "two_large_empty_part": replace(
+            cert_of([0, 1, 3, 4], 2), kind=TWO_LARGE, rotation=0, child=one, claimed_bound=1),
+        # parts (1, 2, 1) at rotation 0: one small part, one large
+        "two_small_hypotheses": replace(
+            cert_of([0, 3, 4, 6], 2), rotation=0, child=one, claimed_bound=0 + 2),
+        "two_large_hypotheses": replace(
+            cert_of([0, 3, 4, 6], 2), kind=TWO_LARGE, rotation=0, child=one,
+            claimed_bound=0 + (2 - 1) + 1),
+        "missing_child": replace(small, child=None),
+        # a level-0 base node accepts any subset, so only the level is wrong
+        "child_at_wrong_level": replace(
+            small, child=replace(small.child, kind=BASE, level=0, rotation=None)),
+        "two_small_child_not_first_part": replace(small, child=cert_of([1], 1)),
+        "two_large_child_not_in_second_part": replace(large, child=cert_of([1, 2, 3, 5], 2)),
+        "claimed_bound": replace(small, claimed_bound=2),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(malformed()))
+def test_replay_refuses(name):
+    with pytest.raises(ValueError):
+        malformed()[name].replay()
 
 
 class TestCertifyQuantified:
