@@ -150,10 +150,6 @@ def trit_arc(u: int, v: int, level: int) -> bool:
     if not (0 <= u < top and 0 <= v < top):
         raise ValueError(f"vertices must lie in 0..{top - 1}")
     power = top // 3
-    while power:
-        du = (u // power) % 3
-        dv = (v // power) % 3
-        if du != dv:
-            return (dv - du) % 3 == 1
+    while u // power == v // power:
         power //= 3
-    raise AssertionError("unreachable: u != v must differ in some trit")
+    return (v // power - u // power) % 3 == 1

@@ -188,21 +188,19 @@ def _split_block(digraph: Digraph, seeds: list[int]) -> list[SplitTrial]:
     n = digraph.n
     member = _shuffled_halves(seeds, n)
     weights = member.astype(np.float32)
-    delta_one = np.full(len(seeds), np.inf, dtype=np.float32)
-    delta_two = np.full(len(seeds), np.inf, dtype=np.float32)
+    # n tops every out-degree; both halves of an even n >= 2 have members; n = 0 runs no chunk
+    delta_one = np.full(len(seeds), n, dtype=np.float32)
+    delta_two = np.full(len(seeds), n, dtype=np.float32)
     chunk = _rows_per_block(n)
     for lo in range(0, n, chunk):
         adjacency = _unpack_rows(digraph.rows[lo:lo + chunk], n).astype(np.float32)
         into_half = weights @ adjacency.T
         inside = member[:, lo:lo + chunk]
-        np.minimum(delta_one, np.where(inside, into_half, np.inf).min(axis=1),
+        np.minimum(delta_one, np.where(inside, into_half, n).min(axis=1),
                    out=delta_one)
         into_rest = adjacency.sum(axis=1) - into_half
-        np.minimum(delta_two, np.where(inside, np.inf, into_rest).min(axis=1),
+        np.minimum(delta_two, np.where(inside, n, into_rest).min(axis=1),
                    out=delta_two)
-    # a half with no members has minimum out-degree 0
-    delta_one[np.isinf(delta_one)] = 0
-    delta_two[np.isinf(delta_two)] = 0
     return [
         SplitTrial(seed=seed, half_one=VertexSet(bits, n), delta_one=d1, delta_two=d2)
         for seed, bits, d1, d2 in zip(seeds, _pack_rows(member), delta_one.astype(int).tolist(),

@@ -310,10 +310,9 @@ def _settle(rows: list[int], sel: int, pool: int, left: int, t: int,
                         sel |= take
                         pool = union ^ sel
                         rest &= union
+                        # others >= left still holds: hi >= t makes |drop| <= others - left
                         others = pool.bit_count()
                         left -= take.bit_count()
-                        if others < left:
-                            return None
                     continue
             if low & sel or others == left:
                 return None

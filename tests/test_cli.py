@@ -205,6 +205,19 @@ class TestSearch:
         assert code == 0 and err == ""
         assert out.splitlines()[-1].endswith(" visited=12")
 
+    def test_blocks_refuses_past_64_vertices(self, capsys, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sweep ran past its vertex limit")
+
+        monkeypatch.setattr("trisplit.search._blocks_by_size", refuse)
+        arcs = random_tournament(SplitMix64(65), 65)
+        p = tmp_path / "sixty-five.dg"
+        p.write_text(write_digraph(Digraph.from_arcs(65, sorted(arcs))))
+        code, out, err = invoke(capsys, ["search", "--input", str(p), "--size", "2",
+                                         "--engine", "blocks"])
+        assert (code, out) == (2, "")
+        assert err == "search: blocks engine requires at most 64 vertices\n"
+
     def test_bb_honours_budget(self, capsys, tmp_path):
         p = tmp_path / "five.dg"
         p.write_text(write_digraph(Digraph.from_arcs(5, [(i, (i + 1) % 5) for i in range(5)])))

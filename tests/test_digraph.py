@@ -55,6 +55,7 @@ class TestVertexSet:
         assert 2 in vs and 1 not in vs
         assert -1 not in vs and 6 not in vs
         assert list(vs) == [0, 2, 4]
+        assert repr(VertexSet.from_ids([0, 2], 3)) == "VertexSet({0,2}, n=3)"
 
     def test_out_of_range_bits(self):
         with pytest.raises(ValueError):
@@ -63,6 +64,9 @@ class TestVertexSet:
             VertexSet(-1, 3)
         with pytest.raises(ValueError):
             VertexSet.from_ids([3], 3)
+        # a bare ValueError would pass unguarded: a negative shift raises too
+        with pytest.raises(ValueError, match=r"^negative vertex count -1$"):
+            VertexSet(0, -1)
 
     def test_first_out_of_range_id_is_named(self):
         with pytest.raises(ValueError, match=r"^vertex 7 out of range for n=5$"):
@@ -106,6 +110,7 @@ class TestDigraph:
         assert arcs_of(d) == {(0, 1), (1, 2), (2, 0)}
         assert d.arc_count() == 3
         assert d.is_tournament()
+        assert repr(ternary_tournament(1)) == "Digraph(n=3, arcs=3)"
 
     def test_from_arcs_rejects_bad_pairs(self):
         with pytest.raises(ValueError):
