@@ -68,8 +68,7 @@ def _report_lines(pairs) -> str:
 
 def _cmd_generate(args) -> int:
     build = punctured_tournament if args.delete_vertex else ternary_tournament
-    digraph = build(args.k)
-    sys.stdout.write(write_digraph(digraph))
+    write_digraph(build(args.k), sys.stdout)
     return 0
 
 

@@ -13,9 +13,14 @@ safe under concurrent shared reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
+
+#: Characters of digraph text that ``read_digraph`` and
+#: ``write_digraph`` handle at once: they work in blocks of whole rows
+#: of about this size (one row when a row is longer).
+_TEXT_BLOCK = 1 << 20
 
 
 def _unpack_rows(rows: Iterable[int], n: int) -> np.ndarray:
@@ -179,48 +184,82 @@ class Digraph:
         return adjacency.sum(axis=1, dtype=np.int64), adjacency.sum(axis=0, dtype=np.int64)
 
 
+def _rows_per_text_block(n: int) -> int:
+    """Rows of n-vertex digraph text that fit in ``_TEXT_BLOCK`` characters."""
+    return max(1, _TEXT_BLOCK // (n + 1))
+
+
 def read_digraph(text: str) -> Digraph:
     """Parse the text exchange format.
 
     Line 1 is the vertex count n, followed by n lines of exactly n
     characters from {0,1}; character j of line i is 1 iff arc i->j.
     The diagonal must be 0 and a final newline is required.
+
+    Rows are checked and packed one block of about ``_TEXT_BLOCK``
+    characters at a time, sliced from ``text`` by offset, so beyond
+    the text and the packed rows the parse holds a few block-sized
+    buffers.  The first offending row decides the error, whichever
+    block it lies in.
     """
     if not text.endswith("\n"):
         raise DigraphFormatError("missing final newline")
-    head, _, body = text.partition("\n")
-    header = head.strip()
+    head_end = text.index("\n")
+    header = text[:head_end].strip()
     if not header.isdigit():
         raise DigraphFormatError(f"malformed vertex count {header!r}")
     n = int(header)
-    got = body.count("\n")
+    start = head_end + 1
+    got = text.count("\n", start)
     if got != n:
         raise DigraphFormatError(f"expected {n} rows, got {got}")
-    # one byte per character: "replace" turns each non-ASCII one into "?"
-    data = np.frombuffer(body.encode("ascii", "replace"), dtype=np.uint8)
-    lengths = np.diff(np.flatnonzero(data == ord("\n")), prepend=-1) - 1
-    wrong = np.flatnonzero(lengths != n)
-    # rows before the first one of the wrong length form a grid
-    shaped = int(wrong[0]) if len(wrong) else n
-    grid = data[:shaped * (n + 1)].reshape(shaped, n + 1)[:, :n]
-    bad_chars = ((grid | 1) != ord("1")).any(axis=1)
-    loops = grid[np.arange(shaped), np.arange(shaped)] == ord("1")
-    bad = np.flatnonzero(bad_chars | loops)
-    if len(bad):
-        i = int(bad[0])
-        if bad_chars[i]:
-            raise DigraphFormatError(f"row {i} contains characters other than 0/1")
-        raise DigraphFormatError(f"self-loop bit set at vertex {i}")
-    if shaped < n:
-        raise DigraphFormatError(
-            f"row {shaped} has length {lengths[shaped]}, expected {n}")
-    # character j of a line is bit j of its row
-    return Digraph(n, _pack_rows(grid == ord("1")))
+    step = _rows_per_text_block(n)
+    rows: list[int] = []
+    for lo in range(0, n, step):
+        count = min(step, n - lo)
+        # one byte per character: "replace" turns each non-ASCII one into "?"
+        data = np.frombuffer(text[start:start + count * (n + 1)].encode("ascii", "replace"),
+                             dtype=np.uint8)
+        lengths = np.diff(np.flatnonzero(data == ord("\n")), prepend=-1)[:count] - 1
+        wrong = np.flatnonzero(lengths != n)
+        # rows before the first one of the wrong length form a grid
+        shaped = int(wrong[0]) if len(wrong) else len(lengths)
+        grid = data[:shaped * (n + 1)].reshape(shaped, n + 1)[:, :n]
+        bad_chars = ((grid | 1) != ord("1")).any(axis=1)
+        loops = grid[np.arange(shaped), lo + np.arange(shaped)] == ord("1")
+        bad = np.flatnonzero(bad_chars | loops)
+        if len(bad):
+            i = int(bad[0])
+            if bad_chars[i]:
+                raise DigraphFormatError(f"row {lo + i} contains characters other than 0/1")
+            raise DigraphFormatError(f"self-loop bit set at vertex {lo + i}")
+        if shaped < count:
+            # the row may run past this block; every row ends in a newline
+            row_start = start + shaped * (n + 1)
+            length = text.index("\n", row_start) - row_start
+            raise DigraphFormatError(f"row {lo + shaped} has length {length}, expected {n}")
+        # character j of a line is bit j of its row
+        rows += _pack_rows(grid == ord("1"))
+        start += count * (n + 1)
+    return Digraph(n, rows)
 
 
-def write_digraph(digraph: Digraph) -> str:
-    """Render a digraph in the text exchange format (inverse of read)."""
-    out = [str(digraph.n)]
-    for row in digraph.rows:
-        out.append(format(row, f"0{digraph.n}b")[::-1])
-    return "\n".join(out) + "\n"
+def write_digraph(digraph: Digraph, out: TextIO | None = None) -> str | None:
+    """Render a digraph in the text exchange format (inverse of read).
+
+    The text is rendered one block of about ``_TEXT_BLOCK`` characters
+    at a time, and each block goes to ``out.write`` as soon as it is
+    rendered, so a streamed write holds one block beyond the digraph.
+    With ``out`` None the blocks are joined and the text is returned.
+    """
+    n = digraph.n
+    blocks: list[str] = []
+    sink = blocks.append if out is None else out.write
+    sink(f"{n}\n")
+    step = _rows_per_text_block(n)
+    for lo in range(0, n, step):
+        rows = digraph.rows[lo:lo + step]
+        block = np.full((len(rows), n + 1), ord("\n"), dtype=np.uint8)
+        np.add(_unpack_rows(rows, n), ord("0"), out=block[:, :n])
+        sink(block.tobytes().decode("ascii"))
+    return "".join(blocks) if out is None else None

@@ -59,11 +59,53 @@ class TestGenerate:
         assert code == 2 and err
 
     def test_out_of_memory_is_exit_two(self, capsys, monkeypatch):
-        def exhausted(digraph):
+        def exhausted(digraph, out=None):
             raise MemoryError
         monkeypatch.setattr("trisplit.cli.write_digraph", exhausted)
         code, out, err = invoke(capsys, ["generate", "--k", "2"])
         assert (code, out, err) == (2, "", "generate: out of memory\n")
+
+    def test_out_of_memory_partway_leaves_a_refused_prefix(self, capsys, monkeypatch):
+        # blocks of three rows of the 9-vertex tournament; the second one fails
+        monkeypatch.setattr("trisplit.digraph._TEXT_BLOCK", 3 * 10)
+        unpack = trisplit.digraph._unpack_rows
+        calls = []
+
+        def fail_second(rows, n):
+            calls.append(n)
+            if len(calls) == 2:
+                raise MemoryError
+            return unpack(rows, n)
+        monkeypatch.setattr("trisplit.digraph._unpack_rows", fail_second)
+        code, out, err = invoke(capsys, ["generate", "--k", "2"])
+        assert (code, err) == (2, "generate: out of memory\n")
+        assert len(calls) == 2
+        full = write_digraph(ternary_tournament(2))
+        assert out and full.startswith(out) and out != full
+        with pytest.raises(ValueError, match=r"^expected 9 rows, got 3$"):
+            read_digraph(out)
+
+    def test_streamed_generate_memory(self):
+        # the child reports how far its peak RSS rose above its post-import peak
+        # while it wrote the level-8 punctured tournament (43 MB of text) to /dev/null
+        child = (
+            "import resource, sys\n"
+            "from trisplit.cli import run\n"
+            "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "code = run(['generate', '--k', '8', '--delete-vertex'])\n"
+            "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base\n"
+            "unit = 1 if sys.platform == 'darwin' else 1024  # ru_maxrss bytes or KiB\n"
+            "print(code, grown * unit, file=sys.stderr)\n"
+        )
+        src = str(Path(trisplit.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", child], env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        code, grown = map(int, proc.stderr.split())
+        assert code == 0
+        assert grown < 40 << 20
 
 
 class TestVerify:

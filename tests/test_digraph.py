@@ -1,5 +1,8 @@
 """Dense digraph container, vertex sets, and the text format."""
 
+import io
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -8,6 +11,7 @@ from trisplit import (
     Digraph,
     DigraphFormatError,
     DimensionError,
+    SplitMix64,
     VertexSet,
     punctured_tournament,
     read_digraph,
@@ -15,7 +19,13 @@ from trisplit import (
     write_digraph,
 )
 
-from naive import arcs_of, naive_induced_arcs, naive_is_tournament, naive_min_out_degree
+from naive import (
+    arcs_of,
+    naive_induced_arcs,
+    naive_is_tournament,
+    naive_min_out_degree,
+    random_digraph,
+)
 
 
 def digraphs(max_n=12):
@@ -185,6 +195,45 @@ class TestDigraph:
         assert inn.tolist() == [sum((u, v) in arcs for u in range(d.n)) for v in range(d.n)]
 
 
+#: Malformed texts, each with the one error message it must raise
+MALFORMED = [
+    # the first offending row decides, whatever its fault
+    ("3\n0x1\n0010\n100\n", "row 0 contains characters other than 0/1"),
+    ("3\n0110\n0x1\n100\n", "row 0 has length 4, expected 3"),
+    ("3\n110\n001\n10\n", "self-loop bit set at vertex 0"),
+    ("3\n010\n011\n1\n", "self-loop bit set at vertex 1"),
+    ("3\n01x\n011\n100\n", "row 0 contains characters other than 0/1"),
+    ("2\n01\n11\n", "self-loop bit set at vertex 1"),
+    # a non-ASCII character counts as one character of its row
+    ("3\n010\n0\u00e91\n100\n", "row 1 contains characters other than 0/1"),
+    ("3\n010\n0\u00b91\n100\n", "row 1 contains characters other than 0/1"),
+    ("3\n010\n001\n1\u00e90\n", "row 2 contains characters other than 0/1"),
+    ("2\n\u0661\u0660\n10\n", "row 0 contains characters other than 0/1"),
+    ("3\n010\n001\n10\n", "row 2 has length 2, expected 3"),
+    ("2\n01\n1\n", "row 1 has length 1, expected 2"),
+    ("2\r\n01\r\n10\r\n", "row 0 has length 3, expected 2"),
+    ("2\n01\n10", "missing final newline"),
+    ("2\n01\n10\n\n", "expected 2 rows, got 3"),
+    ("2\n01\n", "expected 2 rows, got 1"),
+    ("x\n01\n10\n", "malformed vertex count 'x'"),
+    # faults past the first block at TestTextBlocks' sizes: in blocks of two
+    # rows, rows 0-1, 2-3 and 4 share a block
+    ("5\n01000\n00100\n00010\n00001\n1000x\n", "row 4 contains characters other than 0/1"),
+    ("5\n01000\n00100\n00110\n00001\n10000\n", "self-loop bit set at vertex 2"),
+    ("5\n01000\n00100\n00010\n0001\n100000\n", "row 3 has length 4, expected 5"),
+    ("5\n01000\n00100\n00010\n0000100001\n\n", "row 3 has length 10, expected 5"),
+    # a long row runs past the end of its block
+    ("5\n01000\n0010000010\n00001\n10000\n\n", "row 1 has length 10, expected 5"),
+    # an earlier row's fault wins over a later row's, in any block
+    ("5\n01000\n00100\n0x010\n0001\n100000\n", "row 2 contains characters other than 0/1"),
+    ("5\n01000\n00100\n00010\n00011\n1000\n", "self-loop bit set at vertex 3"),
+    # a non-ASCII character in the last row of a block, and at its end
+    ("5\n01000\n00100\n00010\n0\u00e9001\n10000\n", "row 3 contains characters other than 0/1"),
+    ("5\n01000\n0010\u00e9\n00010\n00001\n10000\n", "row 1 contains characters other than 0/1"),
+    ("5\n01000\n00100\n00010\n00001\n1000\u00e9\n", "row 4 contains characters other than 0/1"),
+]
+
+
 class TestTextFormat:
     def test_write_exact_triangle(self):
         d = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
@@ -216,27 +265,7 @@ class TestTextFormat:
         with pytest.raises(DigraphFormatError):
             read_digraph(text)
 
-    @pytest.mark.parametrize("text, message", [
-        # the first offending row decides, whatever its fault
-        ("3\n0x1\n0010\n100\n", "row 0 contains characters other than 0/1"),
-        ("3\n0110\n0x1\n100\n", "row 0 has length 4, expected 3"),
-        ("3\n110\n001\n10\n", "self-loop bit set at vertex 0"),
-        ("3\n010\n011\n1\n", "self-loop bit set at vertex 1"),
-        ("3\n01x\n011\n100\n", "row 0 contains characters other than 0/1"),
-        ("2\n01\n11\n", "self-loop bit set at vertex 1"),
-        # a non-ASCII character counts as one character of its row
-        ("3\n010\n0\u00e91\n100\n", "row 1 contains characters other than 0/1"),
-        ("3\n010\n0\u00b91\n100\n", "row 1 contains characters other than 0/1"),
-        ("3\n010\n001\n1\u00e90\n", "row 2 contains characters other than 0/1"),
-        ("2\n\u0661\u0660\n10\n", "row 0 contains characters other than 0/1"),
-        ("3\n010\n001\n10\n", "row 2 has length 2, expected 3"),
-        ("2\n01\n1\n", "row 1 has length 1, expected 2"),
-        ("2\r\n01\r\n10\r\n", "row 0 has length 3, expected 2"),
-        ("2\n01\n10", "missing final newline"),
-        ("2\n01\n10\n\n", "expected 2 rows, got 3"),
-        ("2\n01\n", "expected 2 rows, got 1"),
-        ("x\n01\n10\n", "malformed vertex count 'x'"),
-    ])
+    @pytest.mark.parametrize("text, message", MALFORMED)
     def test_malformed_input_messages(self, text, message):
         with pytest.raises(DigraphFormatError) as exc:
             read_digraph(text)
@@ -244,3 +273,78 @@ class TestTextFormat:
 
     def test_header_whitespace_tolerated(self):
         assert read_digraph(" 2 \n01\n10\n") == Digraph.from_arcs(2, [(0, 1), (1, 0)])
+
+
+def _patch_block(monkeypatch, text, rows):
+    """Make the text block ``rows`` rows of the digraph that ``text`` declares."""
+    header = text.partition("\n")[0].strip()
+    n = int(header) if header.isdigit() else 0
+    monkeypatch.setattr("trisplit.digraph._TEXT_BLOCK", rows * (n + 1))
+
+
+class TestTextBlocks:
+    """The text is read and written a block of rows at a time; no block
+    size may change a result or an error."""
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    @pytest.mark.parametrize("text, message", MALFORMED)
+    def test_messages_at_tiny_blocks(self, monkeypatch, rows, text, message):
+        _patch_block(monkeypatch, text, rows)
+        with pytest.raises(DigraphFormatError) as exc:
+            read_digraph(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_roundtrip_at_tiny_blocks(self, monkeypatch, rows, n):
+        d = Digraph.from_arcs(n, random_digraph(SplitMix64(n), n))
+        text = write_digraph(d)
+        monkeypatch.setattr("trisplit.digraph._TEXT_BLOCK", rows * (n + 1))
+        assert write_digraph(d) == text
+        sink = io.StringIO()
+        assert write_digraph(d, sink) is None
+        assert sink.getvalue() == text
+        assert read_digraph(text) == d
+
+
+class _Discard:
+    """A text sink that keeps only a count of what it was sent."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+def _traced_peak(fn, *args):
+    """(fn(*args), peak bytes that tracemalloc saw allocated during the call)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTextMemory:
+    """At family scale the text paths hold one block of rows at a time,
+    not several copies of the text (4.8 MB at level 7)."""
+
+    @pytest.fixture(scope="class")
+    def level_seven(self):
+        d = punctured_tournament(7)
+        return d, write_digraph(d)
+
+    def test_read_peak_below_twice_the_text(self, level_seven):
+        d, text = level_seven
+        parsed, peak = _traced_peak(read_digraph, text)
+        assert parsed == d
+        assert peak < 2 * len(text)
+
+    def test_streamed_write_peak_below_the_text(self, level_seven):
+        d, text = level_seven
+        sink = _Discard()
+        _, peak = _traced_peak(write_digraph, d, sink)
+        assert sink.chars == len(text)
+        assert peak < len(text)

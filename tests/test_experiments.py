@@ -1,6 +1,7 @@
 """Seeded split trials and the deterministic generator."""
 
 import hashlib
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -165,6 +166,19 @@ class TestLockstepSplit:
         assert regrouped == default
         assert list(regrouped.trials) == single
         assert [random_balanced_split(d, t.seed) for t in single] == single
+
+    def test_block_memory_at_level_seven(self):
+        # 200 trials on 2186 vertices fit in one block; its scratch, not the
+        # adjacency, bounds the peak
+        d = punctured_tournament(7)
+        tracemalloc.start()
+        try:
+            summary = split_experiment(d, 200, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(summary.trials) == 200
+        assert peak < 10 << 20
 
     def test_frozen_digest(self):
         # digest of the trials of the per-trial scalar implementation
