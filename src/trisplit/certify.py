@@ -73,6 +73,7 @@ class BoundCertificate:
         """
         bound = 0
         if self.kind == BASE:
+            _check_order(self.subset, self.level)
             if len(self.subset) != 0 and self.level != 0:
                 raise ValueError("base node on a nonempty subset above level 0")
         else:
@@ -121,8 +122,9 @@ class BoundCertificate:
 
 
 def _check_order(subset: VertexSet, level: int) -> int:
-    """3**level, once ``subset`` is known to index that many vertices."""
-    order = 3 ** level
+    """3**level, once ``level`` passes `check_level` and ``subset`` is
+    known to index that many vertices."""
+    order = check_level(level)
     if subset.owner_n != order:
         raise DimensionError(
             f"subset indexes {subset.owner_n} vertices, level {level} has {order}")
@@ -135,7 +137,7 @@ def partition_parts(subset: VertexSet, level: int) -> tuple[VertexSet, VertexSet
     Returns the intersections with the three copy blocks, still in
     level coordinates.  Requires ``level`` >= 1.
     """
-    if level < 1:
+    if level == 0:
         raise ValueError("level 0 has no parts to split")
     order = _check_order(subset, level)
     third = order // 3
@@ -235,7 +237,6 @@ def actual_min_out_degree(level: int, subset: VertexSet) -> int:
     block's minimum is the least, over its nonempty parts, of the
     part's own minimum plus the next part's size, cyclically.
     """
-    check_level(level)
     order = _check_order(subset, level)
     size = _unpack_rows((subset.bits,), order)[0].astype(np.int64)
     # an empty block's minimum is ``order``, which no sum below reaches

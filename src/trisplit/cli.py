@@ -14,8 +14,9 @@ codes: 0 success or pass, 1 verification failure, 2 usage trouble
 (bad flags, unreadable or malformed input, refused budgets, out of
 memory).
 
-`--input -` reads the digraph text format from standard input, so
-`generate` pipes straight into `search` or `split`.
+`--input -` reads the digraph text format from standard input, as
+bytes decoded the way a file's are, so `generate` pipes straight into
+`search` or `split`.
 """
 
 from __future__ import annotations
@@ -46,11 +47,11 @@ from .search import (
 
 
 def _load_digraph(path: str) -> Digraph:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        text = Path(path).read_text(encoding="ascii")
-    return read_digraph(text)
+    if path == "-" and sys.stdin is None:
+        raise OSError("standard input is closed")
+    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    # a file and stdin decode alike, so a bad byte reads as a bad row
+    return read_digraph(data.decode("utf-8", "surrogateescape"))
 
 
 def _ids_str(vs: VertexSet) -> str:
@@ -88,9 +89,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    check_level(args.k)
-    ids = _parse_id_list(args.set)
-    subset = VertexSet.from_ids(ids, 3 ** args.k)
+    order = check_level(args.k)
+    subset = VertexSet.from_ids(_parse_id_list(args.set), order)
     bound, cert = certify_bound(args.k, subset)
     cert.replay()
     actual = actual_min_out_degree(args.k, subset)

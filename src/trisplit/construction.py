@@ -15,9 +15,12 @@ Deleting one vertex from level k yields the 2n-vertex counterexample
 tournament with minimum out-degree n-1, where n = (3**k - 1) // 2.
 
 Levels are dense bitset matrices, so the family has one limit, level
-``MAX_LEVEL`` (3**MAX_LEVEL vertices).  `check_level` applies it to a
-level without building anything, so callers whose work grows with 3**k
-can refuse a level up front.  Digraphs read from text have no limit.
+``MAX_LEVEL`` (3**MAX_LEVEL vertices), and one rule: every function
+that takes a level-k vertex, subset or tournament refuses through
+`check_level`, which applies the limit without building anything and
+gives the order 3**k of an accepted level.  `level_params` and
+`gap_table` only evaluate closed forms and take any level >= 0
+(`gap_table` up to 9000).  Digraphs read from text have no limit.
 
 `gap_table` lists the closed-form parameters of levels 1..k_max with
 their exact gap s/2 - bound, which telescopes to (k - 1)/2.
@@ -97,17 +100,19 @@ def gap_table(k_max: int) -> list[LevelParams]:
     return rows
 
 
-def check_level(level: int) -> None:
-    """Refuse a negative level or one above ``MAX_LEVEL``.
+def check_level(level: int) -> int:
+    """3**level, once ``level`` is known to lie in 0..``MAX_LEVEL``.
 
-    The message names the level and ``MAX_LEVEL`` with its vertex
-    count, never 3**level, so every refusal takes bounded time.
+    A negative level or one above ``MAX_LEVEL`` raises ValueError.  The
+    message names the level and ``MAX_LEVEL`` with its vertex count,
+    never 3**level, so every refusal takes bounded time.
     """
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
     if level > MAX_LEVEL:
         raise ValueError(f"level {level} is above the largest level, "
                          f"{MAX_LEVEL} ({3 ** MAX_LEVEL} vertices)")
+    return 3 ** level
 
 
 def ternary_tournament(level: int) -> Digraph:
@@ -144,9 +149,9 @@ def trit_arc(u: int, v: int, level: int) -> bool:
     u and v differ, the digit of v is one more than the digit of u,
     cyclically (digit_v - digit_u == 1 mod 3).
     """
+    top = check_level(level)
     if u == v:
         raise ValueError("no self-loops: u and v must differ")
-    top = 3 ** level
     if not (0 <= u < top and 0 <= v < top):
         raise ValueError(f"vertices must lie in 0..{top - 1}")
     power = top // 3

@@ -205,7 +205,7 @@ def malformed():
             cert_of([0, 3, 4, 6], 2), kind=TWO_LARGE, rotation=0, child=one,
             claimed_bound=0 + (2 - 1) + 1),
         "missing_child": replace(small, child=None),
-        # a level-0 base node accepts any subset, so only the level is wrong
+        # the parent refuses the child's level before the child checks its own order
         "child_at_wrong_level": replace(
             small, child=replace(small.child, kind=BASE, level=0, rotation=None)),
         "two_small_child_not_first_part": replace(small, child=cert_of([1], 1)),

@@ -26,9 +26,15 @@ from trisplit.cli import run
 from naive import naive_max_over_sizes, naive_min_out_degree, random_digraph, random_tournament
 
 
+def stdin_of(data):
+    """A text stdin over ``data`` (str or bytes) with the ``buffer`` a
+    real one has."""
+    return io.TextIOWrapper(io.BytesIO(data if isinstance(data, bytes) else data.encode()))
+
+
 def invoke(capsys, argv, stdin=None, monkeypatch=None):
     if stdin is not None:
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        monkeypatch.setattr("sys.stdin", stdin_of(stdin))
     code = run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -304,6 +310,28 @@ class TestSearch:
                               stdin="2\n01\n", monkeypatch=monkeypatch)
         assert code == 2 and err
 
+    @pytest.mark.parametrize("row", [b"0\xff", "0é".encode()], ids=["byte_ff", "e_acute"])
+    def test_file_and_stdin_read_alike(self, capsys, monkeypatch, tmp_path, row):
+        data = b"2\n" + row + b"\n10\n"
+        p = tmp_path / "bad.dg"
+        p.write_bytes(data)
+        argv = ["search", "--input", str(p), "--size", "1"]
+        by_file = invoke(capsys, argv)
+        argv[2] = "-"
+        by_stdin = invoke(capsys, argv, stdin=data, monkeypatch=monkeypatch)
+        assert by_file == by_stdin == (2, "", "search: row 0 contains characters other than 0/1\n")
+
+    def test_closed_stdin_is_refused(self):
+        src = str(Path(trisplit.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        # the child starts with no file descriptor 0, as under `<&-`
+        proc = subprocess.run(
+            [sys.executable, "-m", "trisplit.cli", "search", "--input", "-", "--size", "1"],
+            env=env, capture_output=True, preexec_fn=lambda: os.close(0), text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (2, "", "search: standard input is closed\n")
+
     def test_budget_flag(self, capsys, monkeypatch):
         code, _, err = invoke(
             capsys,
@@ -546,7 +574,7 @@ def _matrix_text(n):
 def test_garbage_stdin_exits_zero_or_two(argv, text):
     """Any text on stdin either parses and runs (0) or is refused (2)."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("sys.stdin", io.StringIO(text))
+        mp.setattr("sys.stdin", stdin_of(text))
         mp.setattr("sys.stdout", io.StringIO())
         mp.setattr("sys.stderr", io.StringIO())
         assert run(argv) in (0, 2)

@@ -1,6 +1,8 @@
 """Recursive family construction, closed-form labels, parameters."""
 
 import gc
+import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -10,12 +12,19 @@ from hypothesis import strategies as st
 
 from trisplit import (
     Digraph,
+    VertexSet,
+    actual_min_out_degree,
+    certify_bound,
     gap_table,
     level_params,
+    min_identity_check,
+    partition_parts,
     punctured_tournament,
     ternary_tournament,
     trit_arc,
+    verify_bound,
 )
+from trisplit.certify import BASE, TWO_SMALL, BoundCertificate
 
 from naive import arcs_of, naive_is_tournament
 
@@ -82,6 +91,70 @@ def test_trit_arc_matches_recursive_build():
             for v in range(n):
                 if u != v:
                     assert trit_arc(u, v, k) == bool(row & (1 << v))
+
+
+def test_trit_arc_matches_the_top_levels():
+    """Sampled pairs at levels 8 to 10, past the gate's level 7.
+
+    Level 10 is not built whole (about 440 MB of rows): each sampled
+    row is glued from level 9's as `ternary_tournament` glues them, the
+    copy's own row plus every arc into the next copy.
+    """
+    rng = random.Random(810)
+    t8, t9 = ternary_tournament(8), ternary_tournament(9)
+    n9 = t9.n
+
+    def row10(u):
+        copy, w = divmod(u, n9)
+        return t9.rows[w] << copy * n9 | ((1 << n9) - 1) << (copy + 1) % 3 * n9
+
+    for k, row in ((8, t8.rows.__getitem__), (9, t9.rows.__getitem__), (10, row10)):
+        n = 3 ** k
+        for _ in range(1000):
+            u = rng.randrange(n)
+            # half the partners share u's level-1 triangle, so low trits decide too
+            v = rng.randrange(n) if rng.random() < 0.5 else u - u % 3 + rng.randrange(3)
+            if u != v:
+                assert trit_arc(u, v, k) == bool(row(u) >> v & 1)
+
+
+# every function that takes a family level, each on a level it must refuse
+LEVEL_ENTRY_POINTS = {
+    "ternary_tournament": ternary_tournament,
+    "punctured_tournament": punctured_tournament,
+    "trit_arc": lambda k: trit_arc(0, 1, k),
+    "verify_bound": verify_bound,
+    "partition_parts": lambda k: partition_parts(VertexSet(0, 3), k),
+    "certify_bound": lambda k: certify_bound(k, VertexSet(0, 3)),
+    "actual_min_out_degree": lambda k: actual_min_out_degree(k, VertexSet(0, 3)),
+    "min_identity_check": lambda k: min_identity_check(k, VertexSet(0, 3)),
+    "replay_base": lambda k: BoundCertificate(BASE, k, VertexSet(0, 3), 0).replay(),
+    "replay_two_small": lambda k: BoundCertificate(
+        TWO_SMALL, k, VertexSet(0, 3), 0, rotation=0).replay(),
+}
+REFUSED_LEVELS = {
+    -1: "level must be >= 0, got -1",
+    11: "level 11 is above the largest level, 10 (59049 vertices)",
+    10 ** 8: "level 100000000 is above the largest level, 10 (59049 vertices)",
+}
+
+
+@pytest.mark.parametrize("level", sorted(REFUSED_LEVELS))
+@pytest.mark.parametrize("name", sorted(LEVEL_ENTRY_POINTS))
+def test_level_entry_point_refuses_through_check_level(name, level):
+    with pytest.raises(ValueError) as refused:
+        LEVEL_ENTRY_POINTS[name](level)
+    assert str(refused.value) == REFUSED_LEVELS[level]
+
+
+def test_level_refusals_take_bounded_time():
+    # 3**100000000 is never computed, so the whole table is quick
+    start = time.perf_counter()
+    for call in LEVEL_ENTRY_POINTS.values():
+        for level in REFUSED_LEVELS:
+            with pytest.raises(ValueError):
+                call(level)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_trit_arc_rejects_bad_input():

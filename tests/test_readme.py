@@ -41,7 +41,18 @@ def _matches(shown, actual):
         and _matches(shown[1:], actual[1:])
 
 
+def _limits():
+    """(command line, stderr line) for each bullet of the README's
+    "Exit codes and limits" list."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("### Exit codes and limits", 1)[1].split("\n#", 1)[0]
+    bullets = [" ".join(b.split("\n\n")[0].split())
+               for b in re.split(r"^- ", section, flags=re.M)[1:]]
+    return [re.match(r"`([^`]+)` prints `([^`]+)`", b).groups() for b in bullets]
+
+
 EXAMPLES = _examples()
+LIMITS = _limits()
 
 
 def test_the_block_has_examples():
@@ -55,8 +66,19 @@ def test_readme_example(capsys, monkeypatch, command, shown):
         argv = shlex.split(stage)
         assert argv[0] == "trisplit"
         if out is not None:
-            monkeypatch.setattr("sys.stdin", io.StringIO(out))
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(out.encode())))
         code = run(argv[1:])
         out = capsys.readouterr().out
         assert code == 0, stage
     assert _matches(shown, out.splitlines()), out
+
+
+def test_the_list_has_limits():
+    assert len(LIMITS) >= 5
+
+
+@pytest.mark.parametrize("command, line", LIMITS, ids=[c for c, _ in LIMITS])
+def test_readme_limit(capsys, command, line):
+    code = run(shlex.split(command))
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", line + "\n")
