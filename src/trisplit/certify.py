@@ -67,11 +67,12 @@ class BoundCertificate:
         """Recompute the bound from the node structure, bottom up.
 
         Raises ValueError if the tree is malformed (wrong child
-        subsets, violated case hypotheses, or inconsistent claims);
-        otherwise returns the recomputed bound, which equals
-        ``claimed_bound`` on every certificate this module produces.
+        subsets, a child under a leaf, violated case hypotheses, or
+        inconsistent claims); otherwise returns the recomputed bound,
+        which equals ``claimed_bound`` on every certificate this module
+        produces.
         """
-        bound = 0
+        bound, part, child = 0, None, self.child
         if self.kind == BASE:
             _check_order(self.subset, self.level)
             if len(self.subset) != 0 and self.level != 0:
@@ -85,15 +86,17 @@ class BoundCertificate:
                 raise ValueError(f"no {self.kind!r} shape at rotation {r!r} fits "
                                  f"part sizes {tuple(len(p) for p in parts)}")
             bound, part = shape
-            if part is not None:
-                child = self.child
-                if child is None or child.level != self.level - 1:
-                    raise ValueError(f"{self.kind} node needs a level-{self.level - 1} child")
-                cs = child.subset
-                if (cs.owner_n != part.owner_n or cs.bits & ~part.bits
-                        or len(cs) != min(len(part), _cap(part.owner_n))):
-                    raise ValueError(f"{self.kind} child does not fit the part it certifies")
-                bound += child.replay()
+        if part is None:
+            if child is not None:
+                raise ValueError(f"{self.kind} node takes no child")
+        else:
+            if child is None or child.level != self.level - 1:
+                raise ValueError(f"{self.kind} node needs a level-{self.level - 1} child")
+            cs = child.subset
+            if (cs.owner_n != part.owner_n or cs.bits & ~part.bits
+                    or len(cs) != min(len(part), _cap(part.owner_n))):
+                raise ValueError(f"{self.kind} child does not fit the part it certifies")
+            bound += child.replay()
         if bound != self.claimed_bound:
             raise ValueError(
                 f"claimed bound {self.claimed_bound} != replayed bound {bound}"

@@ -49,9 +49,10 @@ from .search import (
 def _load_digraph(path: str) -> Digraph:
     if path == "-" and sys.stdin is None:
         raise OSError("standard input is closed")
-    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
-    # a file and stdin decode alike, so a bad byte reads as a bad row
-    return read_digraph(data.decode("utf-8", "surrogateescape"))
+    read = sys.stdin.buffer.read if path == "-" else Path(path).read_bytes
+    # a file and stdin decode alike, so a bad byte reads as a bad row; no
+    # name keeps the bytes, so they are freed before the parse starts
+    return read_digraph(read().decode("utf-8", "surrogateescape"))
 
 
 def _ids_str(vs: VertexSet) -> str:

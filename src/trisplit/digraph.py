@@ -17,10 +17,16 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-#: Characters of digraph text that ``read_digraph`` and
-#: ``write_digraph`` handle at once: they work in blocks of whole rows
-#: of about this size (one row when a row is longer).
-_TEXT_BLOCK = 1 << 20
+#: Cells of an n-wide 0/1 matrix that one pass over it holds at once:
+#: reading and writing digraph text and scoring splits all work in
+#: blocks of ``_rows_per_block(n)`` whole rows, 239 at level 7.
+_BLOCK_CELLS = 1 << 19
+
+
+def _rows_per_block(n: int) -> int:
+    """Whole rows of an n-wide matrix in one block of about
+    ``_BLOCK_CELLS`` cells; one row when a row alone is longer."""
+    return max(1, _BLOCK_CELLS // max(n, 1))
 
 
 def _unpack_rows(rows: Iterable[int], n: int) -> np.ndarray:
@@ -184,11 +190,6 @@ class Digraph:
         return adjacency.sum(axis=1, dtype=np.int64), adjacency.sum(axis=0, dtype=np.int64)
 
 
-def _rows_per_text_block(n: int) -> int:
-    """Rows of n-vertex digraph text that fit in ``_TEXT_BLOCK`` characters."""
-    return max(1, _TEXT_BLOCK // (n + 1))
-
-
 def read_digraph(text: str) -> Digraph:
     """Parse the text exchange format.
 
@@ -196,24 +197,24 @@ def read_digraph(text: str) -> Digraph:
     characters from {0,1}; character j of line i is 1 iff arc i->j.
     The diagonal must be 0 and a final newline is required.
 
-    Rows are checked and packed one block of about ``_TEXT_BLOCK``
-    characters at a time, sliced from ``text`` by offset, so beyond
-    the text and the packed rows the parse holds a few block-sized
-    buffers.  The first offending row decides the error, whichever
-    block it lies in.
+    Rows are checked and packed one block of ``_rows_per_block(n)``
+    rows at a time, sliced from ``text`` by offset, so beyond the text
+    and the packed rows the parse holds a few block-sized buffers.
+    The first offending row decides the error, whichever block it lies
+    in.
     """
     if not text.endswith("\n"):
         raise DigraphFormatError("missing final newline")
     head_end = text.index("\n")
     header = text[:head_end].strip()
-    if not header.isdigit():
+    if not (header.isascii() and header.isdigit()):
         raise DigraphFormatError(f"malformed vertex count {header!r}")
     n = int(header)
     start = head_end + 1
     got = text.count("\n", start)
     if got != n:
         raise DigraphFormatError(f"expected {n} rows, got {got}")
-    step = _rows_per_text_block(n)
+    step = _rows_per_block(n)
     rows: list[int] = []
     for lo in range(0, n, step):
         count = min(step, n - lo)
@@ -247,8 +248,8 @@ def read_digraph(text: str) -> Digraph:
 def write_digraph(digraph: Digraph, out: TextIO | None = None) -> str | None:
     """Render a digraph in the text exchange format (inverse of read).
 
-    The text is rendered one block of about ``_TEXT_BLOCK`` characters
-    at a time, and each block goes to ``out.write`` as soon as it is
+    The text is rendered one block of ``_rows_per_block(n)`` rows at a
+    time, and each block goes to ``out.write`` as soon as it is
     rendered, so a streamed write holds one block beyond the digraph.
     With ``out`` None the blocks are joined and the text is returned.
     """
@@ -256,7 +257,7 @@ def write_digraph(digraph: Digraph, out: TextIO | None = None) -> str | None:
     blocks: list[str] = []
     sink = blocks.append if out is None else out.write
     sink(f"{n}\n")
-    step = _rows_per_text_block(n)
+    step = _rows_per_block(n)
     for lo in range(0, n, step):
         rows = digraph.rows[lo:lo + step]
         block = np.full((len(rows), n + 1), ord("\n"), dtype=np.uint8)

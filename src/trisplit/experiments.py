@@ -14,17 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import Digraph, VertexSet, _pack_rows, _unpack_rows
+from .digraph import Digraph, VertexSet, _pack_rows, _rows_per_block, _unpack_rows
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-#: Byte budget of one n-wide scratch matrix in ``split_experiment``:
-#: it sizes both the trial block and the adjacency row chunk.  At 4 MB
-#: a level-7 split (2186 vertices) scores chunks of 239 rows, 2.1 MB
-#: as float32, and 200 trials still fit in one block.
-_SCRATCH_BYTES = 1 << 22
 
 
 def mix64(value):
@@ -133,8 +128,9 @@ def split_experiment(digraph: Digraph, trials: int, seed: int) -> SplitSummary:
 
     Trial i uses substream_seed(seed, i), so any subset of trials can
     be re-run in isolation and the aggregation order is by index no
-    matter how the work is scheduled.  Trials run in blocks that share
-    one pass over the adjacency; each trial equals
+    matter how the work is scheduled.  Trials run in blocks of
+    ``_rows_per_block(n)``, one n-wide membership row each, and a block
+    shares one pass over the adjacency; each trial equals
     ``random_balanced_split`` on its seed.
     """
     if trials < 1:
@@ -147,12 +143,6 @@ def split_experiment(digraph: Digraph, trials: int, seed: int) -> SplitSummary:
         stop = min(trials, start + per_block)
         records += _split_block(digraph, [substream_seed(seed, i) for i in range(start, stop)])
     return SplitSummary(trials=tuple(records))
-
-
-def _rows_per_block(n: int) -> int:
-    """Trials per block, and adjacency rows per scoring chunk, such that
-    each n-wide scratch matrix stays within ``_SCRATCH_BYTES``."""
-    return max(1, _SCRATCH_BYTES // (8 * max(n, 1)))
 
 
 def _shuffled_halves(seeds: list[int], n: int) -> np.ndarray:

@@ -134,11 +134,11 @@ def _degree_table(adj: np.ndarray, masks: np.ndarray, own: slice) -> np.ndarray:
     from, and ``own`` is that half's vertices, bit b being vertex
     own.start + b.  An own vertex missing from a mask reads
     ``_ABSENT`` more, so it loses every minimum.  The AND+popcount runs
-    on blocks of vertex rows holding at most ``_CHUNK`` words, or on one
-    row where a row alone is longer.
+    on blocks of vertex rows holding at most ``_CHUNK`` words; there
+    are never more than ``_CHUNK`` masks.
     """
     table = np.empty((len(adj), len(masks)), np.uint8)
-    step = max(1, _CHUNK // len(masks))
+    step = _CHUNK // len(masks)
     scratch = np.empty((min(step, len(adj)), len(masks)), masks.dtype)
     for v in range(0, len(adj), step):
         block = adj[v:v + step, None]

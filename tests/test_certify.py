@@ -205,6 +205,9 @@ def malformed():
             cert_of([0, 3, 4, 6], 2), kind=TWO_LARGE, rotation=0, child=one,
             claimed_bound=0 + (2 - 1) + 1),
         "missing_child": replace(small, child=None),
+        # a leaf's bound takes nothing from a child, so a forged one replays unchanged
+        "base_with_child": replace(cert_of([], 1), child=cert_of([], 0)),
+        "empty_part_with_child": replace(one, child=cert_of([], 0)),
         # the parent refuses the child's level before the child checks its own order
         "child_at_wrong_level": replace(
             small, child=replace(small.child, kind=BASE, level=0, rotation=None)),

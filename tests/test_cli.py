@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ from trisplit import (
     write_digraph,
 )
 import trisplit
-from trisplit.cli import run
+from trisplit.cli import _load_digraph, run
 
 from naive import naive_max_over_sizes, naive_min_out_degree, random_digraph, random_tournament
 
@@ -73,7 +74,7 @@ class TestGenerate:
 
     def test_out_of_memory_partway_leaves_a_refused_prefix(self, capsys, monkeypatch):
         # blocks of three rows of the 9-vertex tournament; the second one fails
-        monkeypatch.setattr("trisplit.digraph._TEXT_BLOCK", 3 * 10)
+        monkeypatch.setattr("trisplit.digraph._BLOCK_CELLS", 3 * 9)
         unpack = trisplit.digraph._unpack_rows
         calls = []
 
@@ -379,6 +380,22 @@ class TestSplit:
             capsys, ["split", "--input", "-", "--trials", "1"],
             stdin="3\n010\n001\n100\n", monkeypatch=monkeypatch)
         assert code == 2 and "even" in err
+
+    def test_input_bytes_freed_before_the_parse(self, tmp_path):
+        # the file's bytes and its decoded text coexist only while it is
+        # decoded; bytes kept through the parse would add the parse's own peak
+        d = punctured_tournament(7)
+        path = tmp_path / "punctured7.txt"
+        with path.open("w") as f:
+            write_digraph(d, f)
+        tracemalloc.start()
+        try:
+            loaded = _load_digraph(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded == d
+        assert peak < 2 * path.stat().st_size + (1 << 20)
 
 
 class TestTable:

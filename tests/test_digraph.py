@@ -216,6 +216,9 @@ MALFORMED = [
     ("2\n01\n10\n\n", "expected 2 rows, got 3"),
     ("2\n01\n", "expected 2 rows, got 1"),
     ("x\n01\n10\n", "malformed vertex count 'x'"),
+    # digits outside ASCII: int() refuses a superscript and reads U+0663 as 3
+    ("\u00b2\n", "malformed vertex count '\u00b2'"),
+    ("\u0663\n010\n001\n100\n", "malformed vertex count '\u0663'"),
     # faults past the first block at TestTextBlocks' sizes: in blocks of two
     # rows, rows 0-1, 2-3 and 4 share a block
     ("5\n01000\n00100\n00010\n00001\n1000x\n", "row 4 contains characters other than 0/1"),
@@ -278,8 +281,8 @@ class TestTextFormat:
 def _patch_block(monkeypatch, text, rows):
     """Make the text block ``rows`` rows of the digraph that ``text`` declares."""
     header = text.partition("\n")[0].strip()
-    n = int(header) if header.isdigit() else 0
-    monkeypatch.setattr("trisplit.digraph._TEXT_BLOCK", rows * (n + 1))
+    n = int(header) if header.isascii() and header.isdigit() else 0
+    monkeypatch.setattr("trisplit.digraph._BLOCK_CELLS", rows * max(n, 1))
 
 
 class TestTextBlocks:
@@ -299,7 +302,7 @@ class TestTextBlocks:
     def test_roundtrip_at_tiny_blocks(self, monkeypatch, rows, n):
         d = Digraph.from_arcs(n, random_digraph(SplitMix64(n), n))
         text = write_digraph(d)
-        monkeypatch.setattr("trisplit.digraph._TEXT_BLOCK", rows * (n + 1))
+        monkeypatch.setattr("trisplit.digraph._BLOCK_CELLS", rows * max(n, 1))
         assert write_digraph(d) == text
         sink = io.StringIO()
         assert write_digraph(d, sink) is None

@@ -154,14 +154,14 @@ class TestLockstepSplit:
     """Blocks of trials share one pass over the adjacency; the result
     must not depend on how trials and adjacency rows are grouped."""
 
-    @pytest.mark.parametrize("scratch", [1, 8 * 26 * 3])
-    def test_grouping_is_invisible(self, monkeypatch, scratch):
-        # scratch 1: blocks of one trial, one adjacency row per chunk;
-        # 8 * 26 * 3: blocks of three trials, chunks of three rows
+    @pytest.mark.parametrize("cells", [1, 26 * 3])
+    def test_grouping_is_invisible(self, monkeypatch, cells):
+        # cells 1: blocks of one trial, one adjacency row per chunk;
+        # 26 * 3: blocks of three trials, chunks of three rows
         d = punctured_tournament(3)
         single = [random_balanced_split(d, substream_seed(6, i)) for i in range(10)]
         default = split_experiment(d, 10, seed=6)
-        monkeypatch.setattr("trisplit.experiments._SCRATCH_BYTES", scratch)
+        monkeypatch.setattr("trisplit.digraph._BLOCK_CELLS", cells)
         regrouped = split_experiment(d, 10, seed=6)
         assert regrouped == default
         assert list(regrouped.trials) == single
