@@ -80,11 +80,12 @@ class BoundCertificate:
         else:
             # partition_parts refuses a shape node below level 1
             parts = partition_parts(self.subset, self.level)
+            sizes = tuple(map(len, parts))
             r = self.rotation
-            shape = _shape(self.kind, self.level, parts, r) if r in (0, 1, 2) else None
+            shape = _shape(self.kind, self.level, parts, sizes, r) if r in (0, 1, 2) else None
             if shape is None:
                 raise ValueError(f"no {self.kind!r} shape at rotation {r!r} fits "
-                                 f"part sizes {tuple(len(p) for p in parts)}")
+                                 f"part sizes {sizes}")
             bound, part = shape
         if part is None:
             if child is not None:
@@ -170,8 +171,11 @@ def certify_bound(level: int, subset: VertexSet) -> tuple[int, BoundCertificate]
     return cert.claimed_bound, cert
 
 
-def _shape(kind: str, level: int, parts: tuple[VertexSet, ...], r: int):
+def _shape(kind: str, level: int, parts: tuple[VertexSet, ...], sizes: tuple[int, ...],
+           r: int):
     """One shape's step at rotation ``r``, or None if its hypotheses fail.
+
+    ``sizes`` are the sizes of ``parts``, counted once per node.
 
     The step is what the node adds to its child's bound, and the part
     the child certifies, in level-(k-1) coordinates (None: no child).
@@ -179,7 +183,7 @@ def _shape(kind: str, level: int, parts: tuple[VertexSet, ...], r: int):
     """
     third = 3 ** (level - 1)
     t = _cap(third)
-    x_a, x_b, x_c = len(parts[r]), len(parts[(r + 1) % 3]), len(parts[(r + 2) % 3])
+    x_a, x_b, x_c = sizes[r], sizes[(r + 1) % 3], sizes[(r + 2) % 3]
     if kind == EMPTY_PART and x_b == 0 < x_a:
         return t, None
     if min(x_a, x_b, x_c) == 0:
@@ -197,10 +201,11 @@ def _certify(level: int, subset: VertexSet) -> BoundCertificate:
     if level == 0 or len(subset) == 0:
         return BoundCertificate(BASE, level, subset, 0)
     parts = partition_parts(subset, level)
+    sizes = tuple(map(len, parts))
     # at least one shape fits: two part sizes share a side of t
     kind, r, (bound, part) = next(
         (kind, r, shape) for kind in SHAPES for r in range(3)
-        if (shape := _shape(kind, level, parts, r)) is not None)
+        if (shape := _shape(kind, level, parts, sizes, r)) is not None)
     child = None
     if part is not None:
         t = _cap(part.owner_n)

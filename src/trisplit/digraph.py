@@ -179,15 +179,38 @@ class Digraph:
         return Digraph(self.n - 1, rows)
 
     def is_tournament(self) -> bool:
-        """True iff every vertex pair carries exactly one arc."""
-        adjacency = _unpack_rows(self.rows, self.n)
-        return np.array_equal(adjacency + adjacency.T,
-                              1 - np.eye(self.n, dtype=np.uint8))
+        """True iff every vertex pair carries exactly one arc.
+
+        Checked one block of ``_rows_per_block(n)`` rows u at a time,
+        against every vertex v >= the block's first: A[u, v] + A[v, u]
+        must be 1, and is 0 at u = v, which gets 1 added.  The last
+        block, a single one included, is its own block of columns.
+        """
+        n = self.n
+        step = _rows_per_block(n)
+        for lo in range(0, n, step):
+            block = _unpack_rows(self.rows[lo:lo + step], n)[:, lo:]
+            b = len(block)
+            into = block if lo + b == n else _unpack_rows(
+                [(row >> lo) & ((1 << b) - 1) for row in self.rows[lo:]], b)
+            block = block + into.T
+            block.reshape(-1)[::n - lo + 1] += 1
+            if not (block == 1).all():
+                return False
+        return True
 
     def degree_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(out_degrees, in_degrees) of all vertices as int64 arrays."""
-        adjacency = _unpack_rows(self.rows, self.n)
-        return adjacency.sum(axis=1, dtype=np.int64), adjacency.sum(axis=0, dtype=np.int64)
+        """(out_degrees, in_degrees) of all vertices as int64 arrays,
+        summed one block of ``_rows_per_block(n)`` rows at a time."""
+        n = self.n
+        out = np.empty(n, dtype=np.int64)
+        into = np.zeros(n, dtype=np.int64)
+        step = _rows_per_block(n)
+        for lo in range(0, n, step):
+            block = _unpack_rows(self.rows[lo:lo + step], n)
+            block.sum(axis=1, dtype=np.int64, out=out[lo:lo + step])
+            into += block.sum(axis=0, dtype=np.int64)
+        return out, into
 
 
 def read_digraph(text: str) -> Digraph:

@@ -5,6 +5,9 @@ requested sizes of the minimum out-degree of the induced subdigraph:
 
 * ``enumerate_max`` (``blocks``) sweeps every subset of each requested
   size of a digraph of at most 64 vertices; ``budget`` counts subsets.
+  It asks whether any subset of a tile reaches a threshold with one
+  AND over packed bit rows, one bit per subset and vertex, and holds
+  a few arrays of about ``_CHUNK`` words each.
 * ``branch_bound_max`` (``bb``) proves the maximum for one size on any
   number of vertices; ``budget`` counts search nodes.
 
@@ -30,11 +33,12 @@ DEFAULT_BUDGET = 1 << 27
 
 #: Most vertices the exhaustive sweep takes: one bit each of a uint64 mask.
 _SWEEP_LIMIT = 64
-#: (high, low) pairs per kernel tile: a tile's two uint8 arrays fit in L2.
-_CHUNK = 1 << 16
+#: uint64 words (256 KB) in one array of the sweep: a column block's
+#: bitset table, or a tile's gathered bit rows with their level indices.
+_CHUNK = 1 << 15
 #: Added to a half degree of a vertex missing from that half's mask.  A
-#: half degree is at most 32 and a member's sum at most 63, so a
-#: non-member's sum, at most 191, exceeds every member's in uint8.
+#: half degree is at most 32, so the sum fits in uint8 and exceeds every
+#: threshold, at most 64: a missing vertex passes every threshold.
 _ABSENT = 128
 
 
@@ -133,12 +137,12 @@ def _degree_table(adj: np.ndarray, masks: np.ndarray, own: slice) -> np.ndarray:
     ``adj`` holds the adjacency rows aligned to the half the masks come
     from, and ``own`` is that half's vertices, bit b being vertex
     own.start + b.  An own vertex missing from a mask reads
-    ``_ABSENT`` more, so it loses every minimum.  The AND+popcount runs
-    on blocks of vertex rows holding at most ``_CHUNK`` words; there
-    are never more than ``_CHUNK`` masks.
+    ``_ABSENT`` more, so it passes every threshold.  The AND+popcount
+    runs on blocks of vertex rows holding at most ``_CHUNK`` words, or
+    on one row when a row alone holds more.
     """
     table = np.empty((len(adj), len(masks)), np.uint8)
-    step = _CHUNK // len(masks)
+    step = max(1, _CHUNK // len(masks))
     scratch = np.empty((min(step, len(adj)), len(masks)), masks.dtype)
     for v in range(0, len(adj), step):
         block = adj[v:v + step, None]
@@ -179,6 +183,83 @@ def _size_classes(bits: int, sizes, dtype) -> dict[int, np.ndarray]:
             for q in sizes}
 
 
+def _level_bits(degrees: np.ndarray, top: int) -> np.ndarray:
+    """Bitset table of a degree table [v, i] over one block of masks.
+
+    Word row v * (top + 1) + a holds, bit i % 64 of word i // 64, whether
+    degrees[v, i] >= a, for a = 0..top.  It is packed one level at a
+    time, and the tail bits past the last mask stay 0, so level 0 holds
+    exactly the block's masks.
+    """
+    n, width = degrees.shape
+    words = -(-width // 64)
+    table = np.zeros((n, top + 1, 8 * words), np.uint8)
+    for a in range(top + 1):
+        packed = np.packbits(degrees >= a, axis=1, bitorder="little")
+        table[:, a, :packed.shape[1]] = packed
+    return table.view("<u8").reshape(n * (top + 1), words)
+
+
+def _sweep_part(adj: np.ndarray, high_adj: np.ndarray, high: np.ndarray, low: np.ndarray,
+                m: int, best: tuple[int, int]) -> tuple[int, int]:
+    """``best`` raised to the best (value, mask) among the size-m masks
+    h << low_bits | l, h in ``high`` and l in ``low``.
+
+    A column block of low masks takes the :func:`_level_bits` table of
+    its degree table L.  A pair (h, l) reaches T iff every vertex v
+    holds bit l at level clip(T - H[v, h], 0, m), where H is the degree
+    table of a tile of high-mask rows; a vertex missing from h reads
+    ``_ABSENT`` in H and so sits at level 0, which holds every l.  So a
+    tile is tested at T by one gather of word rows and one AND over the
+    vertices.
+
+    A tile starts at the best value and climbs while some pair reaches
+    T, keeping the last set bit, in row-major order, of each T reached:
+    the largest mask reaching T, since the classes ascend.  Tiles go in
+    descending order, and one whose largest mask is below the best mask
+    cannot win a tie, so it starts one higher.  Every tile runs at
+    least one pass, so every pair is tested.
+    """
+    n = len(adj)
+    low_bits = n // 2
+    # the word row of vertex v at level 0
+    base = np.arange(n)[:, None] * (m + 1)
+    # a column block's table holds about _CHUNK words
+    width = max(1, min(len(low), 64 * _CHUNK // (n * (m + 1))))
+    words = -(-width // 64)
+    # so do a tile's gather, words per vertex and row, and its level
+    # indices, one word each
+    step = max(1, min(len(high), _CHUNK // (n * (words + 1))))
+    gather = np.empty(n * step * words, np.uint64)
+    index = np.empty(n * step, np.intp)
+    for c in reversed(range(0, len(low), width)):
+        table = _level_bits(_degree_table(adj, low[c:c + width], slice(0, low_bits)), m)
+        # a narrower last block packs into fewer words
+        span = table.shape[1]
+        last_low = int(low[min(c + width, len(low)) - 1])
+        for r in reversed(range(0, len(high), step)):
+            rows = high[r:r + step]
+            degrees = _degree_table(high_adj, rows, slice(low_bits, n))
+            levels = gather[:degrees.size * span].reshape(n, len(rows), span)
+            at = index[:degrees.size].reshape(n, len(rows))
+            t = best[0] + ((int(rows[-1]) << low_bits | last_low) < best[1])
+            while True:
+                np.subtract(base + t, degrees, out=at)
+                np.maximum(at, base, out=at)
+                # every index is in range; "clip" lets take fill ``out`` unbuffered
+                np.take(table, at, axis=0, out=levels, mode="clip")
+                reach = np.bitwise_and.reduce(levels, axis=0)
+                hits = np.flatnonzero(reach)
+                if not len(hits):
+                    break
+                last = int(hits[-1])
+                i, w = divmod(last, span)
+                j = 64 * w + int(reach.flat[last]).bit_length() - 1
+                best = max(best, (t, int(rows[i]) << low_bits | int(low[c + j])))
+                t += 1
+    return best
+
+
 def _blocks_by_size(digraph: Digraph,
                     sizes: tuple[int, ...]) -> dict[int, tuple[int, int]]:
     """(best value, largest mask attaining it) per size, vectorized.
@@ -186,12 +267,10 @@ def _blocks_by_size(digraph: Digraph,
     The vertex bits split into a low half of n//2 bits and a high half
     with the rest, so a size-m mask is a high mask h of p bits ORed with
     a low mask l of m-p bits, and a vertex's out-degree into h|l is its
-    degree into h plus its degree into l.  A tile, at most ``_CHUNK``
-    (h, l) pairs of one part p, takes a degree table over its high
-    masks and one over its low masks, and scores every pair as the
-    min-plus sum min over v of H[v, h] + L[v, l].  The half classes
-    ascend, so the last attainer of a tile in row-major order is its
-    largest attaining mask.
+    degree into h plus its degree into l.  Each part p is swept by
+    :func:`_sweep_part`, largest p first, so the largest masks come
+    early.  Every pair reaches 0, and every mask is above -1, so a size
+    starts at (0, -1).
     """
     n = digraph.n
     dtype = np.uint32 if n <= 32 else np.uint64
@@ -205,30 +284,10 @@ def _blocks_by_size(digraph: Digraph,
     if 0 in sizes:
         out[0] = (0, 0)
     high_adj = adj >> dtype(low_bits)
-    # a tile's running minimum and one vertex's sums, shared by every tile
-    buffers = np.empty((2, _CHUNK), np.uint8)
     for m, ps in parts.items():
-        best = (-1, 0)
-        for p in ps:
-            high, low = highs[p], lows[m - p]
-            # whole rows per tile, or one row in pieces
-            width = min(len(low), _CHUNK)
-            step = _CHUNK // width
-            for c in range(0, len(low), width):
-                cols = _degree_table(adj, low[c:c + width], slice(0, low_bits))
-                for r in range(0, len(high), step):
-                    rows = _degree_table(high_adj, high[r:r + step], slice(low_bits, n))
-                    shape = (rows.shape[1], cols.shape[1])
-                    mins, sums = buffers[:, :shape[0] * shape[1]].reshape(2, *shape)
-                    np.add(rows[0, :, None], cols[0], out=mins)
-                    for v in range(1, n):
-                        np.add(rows[v, :, None], cols[v], out=sums)
-                        np.minimum(mins, sums, out=mins)
-                    value = int(mins.max())
-                    # the last attainer in row-major order is the largest mask
-                    last = mins.size - 1 - int(np.argmax(mins.ravel()[::-1] == value))
-                    i, j = divmod(last, shape[1])
-                    best = max(best, (value, int(high[r + i]) << low_bits | int(low[c + j])))
+        best = (0, -1)
+        for p in reversed(ps):
+            best = _sweep_part(adj, high_adj, highs[p], lows[m - p], m, best)
         out[m] = best
     return out
 
@@ -240,11 +299,13 @@ def enumerate_max(digraph: Digraph, sizes, budget: int = DEFAULT_BUDGET) -> Sear
     has at most 64 vertices.  Refuses with :class:`BudgetExceeded`,
     before any enumeration, when the requested sizes hold more than
     ``budget`` subsets, the count ``nodes_visited`` reports.  Each
-    subset is scored as a min-plus sum of two half-class degree tables.
-    Memory is one tile of ``_CHUNK`` uint8 pairs, the tile's n-row
-    degree tables, one block of AND words and the half-width size
-    classes, none larger than the largest requested class: 3432 masks
-    for every size up to 13 of 27 vertices.
+    tile of subsets is tested against thresholds with one AND over
+    packed bit rows per threshold (see :func:`_sweep_part`), and every
+    subset is tested at least once.  Memory is a column block's bitset
+    table and a tile's gathered bit rows and level indices, each about
+    ``_CHUNK`` words, the n-row degree tables they come from, and the
+    half-width size classes, none larger than the largest requested
+    class: 3432 masks for every size up to 13 of 27 vertices.
     """
     t0 = time.perf_counter()
     n = digraph.n

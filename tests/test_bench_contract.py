@@ -92,14 +92,24 @@ def test_counted_attributes_exist_on_real_results():
     assert enumerate_max(d, 4).pruned == 0
 
 
-def test_split_certify_smoke_run_passes_its_oracles():
-    # one round of the family-scale workload, every output checked by
-    # the benchmark's own oracles, which do not import trisplit
+def _smoke_run(workload):
+    """One round of ``workload``, every output checked by the
+    benchmark's own oracles, which do not import trisplit."""
     root = TRACING.parent.parent
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "split-certify", "--seed", "0",
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "0",
          "--seconds", "0", "--trace", "0"],
         cwd=root, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, proc.stderr[-2000:]
+
+
+def test_split_certify_smoke_run_passes_its_oracles():
+    # the family at scale
+    _smoke_run("split-certify")
+
+
+def test_verify_k3_smoke_run_passes_its_oracles():
+    # the sweep's exact maximum, subset count and witness over 2^26 subsets
+    _smoke_run("verify-k3")

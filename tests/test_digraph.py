@@ -161,6 +161,21 @@ class TestDigraph:
     def test_is_tournament_matches_naive(self, d):
         assert d.is_tournament() == naive_is_tournament(arcs_of(d), d.n)
 
+    @settings(max_examples=100)
+    @given(digraphs(8), st.integers(min_value=1, max_value=3))
+    @example(_punctured_four_with(False), 2)
+    @example(_punctured_four_with(True), 2)
+    def test_blocked_passes_match_naive_at_tiny_blocks(self, d, rows):
+        # blocks of 1-3 rows: the column blocks of is_tournament and the
+        # summed in-degrees span several blocks
+        arcs = arcs_of(d)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("trisplit.digraph._BLOCK_CELLS", rows * max(d.n, 1))
+            assert d.is_tournament() == naive_is_tournament(arcs, d.n)
+            out, inn = d.degree_arrays()
+        assert out.tolist() == [sum((v, u) in arcs for u in range(d.n)) for v in range(d.n)]
+        assert inn.tolist() == [sum((u, v) in arcs for u in range(d.n)) for v in range(d.n)]
+
     def test_delete_vertex(self):
         d = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
         sub = d.delete_vertex(1)
@@ -351,3 +366,25 @@ class TestTextMemory:
         _, peak = _traced_peak(write_digraph, d, sink)
         assert sink.chars == len(text)
         assert peak < len(text)
+
+
+class TestMatrixMemory:
+    """At level 7 the whole-matrix passes hold one block of rows at a
+    time, below half the unpacked 2186 x 2186 matrix (4.8 MB)."""
+
+    @pytest.fixture(scope="class")
+    def level_seven(self):
+        return punctured_tournament(7)
+
+    def test_is_tournament_peak(self, level_seven):
+        result, peak = _traced_peak(level_seven.is_tournament)
+        assert result is True
+        assert peak < level_seven.n ** 2 // 2
+
+    def test_degree_arrays_peak(self, level_seven):
+        d = level_seven
+        (out, inn), peak = _traced_peak(d.degree_arrays)
+        assert out.tolist() == [row.bit_count() for row in d.rows]
+        # a tournament: each vertex meets the other 2185 once
+        assert (out + inn).tolist() == [d.n - 1] * d.n
+        assert peak < d.n ** 2 // 2

@@ -360,6 +360,39 @@ def test_blocks_kernel_on_64_bit_masks(seed, n):
     assert_blocks_kernel_exact(from_arcset(arcs, n), arcs, range(1, 4), 64)
 
 
+class TestThresholdSweep:
+    """The sweep's threshold passes and its descending-tile tie rule."""
+
+    @pytest.mark.parametrize("n, m", [(20, 13), (22, 12), (24, 11), (26, 10)])
+    def test_small_tiles_against_branch_and_bound(self, n, m):
+        # at a 1024-word tile every middle part spans several column
+        # blocks and row tiles, so the tie rule across tiles decides the
+        # witness among the many sets attaining the maximum
+        d = from_arcset(random_tournament(SplitMix64(n * 100 + m), n), n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trisplit.search, "_CHUNK", 1024)
+            sweep = enumerate_max(d, m)
+        assert sweep.by_size == branch_bound_max(d, m).by_size
+
+    @pytest.mark.parametrize("chunk", [64, 1 << 15])
+    def test_complete_digraph_climbs_to_m_minus_one(self, chunk):
+        # the first tile of each size climbs every threshold 0..m-1
+        full = Digraph.from_arcs(16, [(u, v) for u in range(16) for v in range(16) if u != v])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trisplit.search, "_CHUNK", chunk)
+            sweep = enumerate_max(full, range(17))
+        for m in range(17):
+            value, witness = sweep.by_size[m]
+            assert (value, witness.ids()) == (max(m - 1, 0), tuple(range(m)))
+
+    def test_punctured_level_three_at_fourteen(self):
+        # the value and witness branch and bound finds in 528,063 nodes
+        r = enumerate_max(punctured_tournament(3), 14)
+        assert r.nodes_visited == 9657700
+        assert r.by_size[14][0] == 5
+        assert r.by_size[14][1].ids() == (0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 17, 18, 19, 20)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=255), st.integers(min_value=2, max_value=6))
 def test_enumerate_property_against_naive(seed, n):
