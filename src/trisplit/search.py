@@ -5,9 +5,8 @@ requested sizes of the minimum out-degree of the induced subdigraph:
 
 * ``enumerate_max`` (``blocks``) sweeps every subset of each requested
   size of a digraph of at most 64 vertices; ``budget`` counts subsets.
-  It asks whether any subset of a tile reaches a threshold with one
-  AND over packed bit rows, one bit per subset and vertex, and holds
-  a few arrays of about ``_CHUNK`` words each.
+  It tests a tile of subsets against a threshold with one AND over
+  packed bit rows, in arrays of about ``_CHUNK`` words.
 * ``branch_bound_max`` (``bb``) proves the maximum for one size on any
   number of vertices; ``budget`` counts search nodes.
 
@@ -233,16 +232,16 @@ def _sweep_part(adj: np.ndarray, high_adj: np.ndarray, high: np.ndarray, low: np
     gather = np.empty(n * step * words, np.uint64)
     index = np.empty(n * step, np.intp)
     for c in reversed(range(0, len(low), width)):
-        table = _level_bits(_degree_table(adj, low[c:c + width], slice(0, low_bits)), m)
+        cols = low[c:c + width]
+        table = _level_bits(_degree_table(adj, cols, slice(0, low_bits)), m)
         # a narrower last block packs into fewer words
         span = table.shape[1]
-        last_low = int(low[min(c + width, len(low)) - 1])
         for r in reversed(range(0, len(high), step)):
             rows = high[r:r + step]
             degrees = _degree_table(high_adj, rows, slice(low_bits, n))
             levels = gather[:degrees.size * span].reshape(n, len(rows), span)
             at = index[:degrees.size].reshape(n, len(rows))
-            t = best[0] + ((int(rows[-1]) << low_bits | last_low) < best[1])
+            t = best[0] + ((int(rows[-1]) << low_bits | int(cols[-1])) < best[1])
             while True:
                 np.subtract(base + t, degrees, out=at)
                 np.maximum(at, base, out=at)
@@ -255,7 +254,7 @@ def _sweep_part(adj: np.ndarray, high_adj: np.ndarray, high: np.ndarray, low: np
                 last = int(hits[-1])
                 i, w = divmod(last, span)
                 j = 64 * w + int(reach.flat[last]).bit_length() - 1
-                best = max(best, (t, int(rows[i]) << low_bits | int(low[c + j])))
+                best = max(best, (t, int(rows[i]) << low_bits | int(cols[j])))
                 t += 1
     return best
 
