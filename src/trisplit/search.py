@@ -30,14 +30,15 @@ from .digraph import Digraph, VertexSet, subset_min_degree
 #: Default ceiling on the subsets, or branch-and-bound nodes, one call may visit.
 DEFAULT_BUDGET = 1 << 27
 
-#: Most vertices the exhaustive sweep takes: one bit each of a uint64 mask.
+#: Most vertices the exhaustive sweep takes: one bit each of two 32-bit
+#: mask halves.
 _SWEEP_LIMIT = 64
 #: uint64 words (256 KB) in one array of the sweep: a column block's
 #: bitset table, or a tile's gathered bit rows with their level indices.
 _CHUNK = 1 << 15
-#: Added to a half degree of a vertex missing from that half's mask.  A
-#: half degree is at most 32, so the sum fits in uint8 and exceeds every
-#: threshold, at most 64: a missing vertex passes every threshold.
+#: Added to a half degree of a vertex missing from that half's mask, so
+#: a missing vertex reads at least 128, above every threshold (at most
+#: 64), and at most 160, within uint8.
 _ABSENT = 128
 
 
@@ -133,16 +134,16 @@ def _reverse(mask: int, n: int) -> int:
 def _degree_table(adj: np.ndarray, masks: np.ndarray, own: slice) -> np.ndarray:
     """uint8 table [v, i]: out-degree of vertex v into ``masks[i]``.
 
-    ``adj`` holds the adjacency rows aligned to the half the masks come
-    from, and ``own`` is that half's vertices, bit b being vertex
-    own.start + b.  An own vertex missing from a mask reads
+    ``adj`` holds each vertex's row half over the half the uint32
+    ``masks`` come from, and ``own`` is that half's vertices, bit b
+    being vertex own.start + b.  An own vertex missing from a mask reads
     ``_ABSENT`` more, so it passes every threshold.  The AND+popcount
     runs on blocks of vertex rows holding at most ``_CHUNK`` words, or
     on one row when a row alone holds more.
     """
     table = np.empty((len(adj), len(masks)), np.uint8)
     step = max(1, _CHUNK // len(masks))
-    scratch = np.empty((min(step, len(adj)), len(masks)), masks.dtype)
+    scratch = np.empty((min(step, len(adj)), len(masks)), np.uint32)
     for v in range(0, len(adj), step):
         block = adj[v:v + step, None]
         words = scratch[:len(block)]
@@ -150,7 +151,7 @@ def _degree_table(adj: np.ndarray, masks: np.ndarray, own: slice) -> np.ndarray:
         np.bitwise_count(words, out=table[v:v + step])
     members = table[own]
     # bit b of masks[i] at [i, b], for the own vertices' bits
-    bits = np.unpackbits(masks[:, None].astype(masks.dtype.newbyteorder("<")).view(np.uint8),
+    bits = np.unpackbits(masks[:, None].astype("<u4").view(np.uint8),
                          axis=1, count=len(members), bitorder="little")
     bits ^= 1
     bits *= _ABSENT
@@ -158,9 +159,9 @@ def _degree_table(adj: np.ndarray, masks: np.ndarray, own: slice) -> np.ndarray:
     return table
 
 
-def _size_classes(bits: int, sizes, dtype) -> dict[int, np.ndarray]:
-    """{q: every ``bits``-bit mask of popcount q, ascending} for each q
-    in ``sizes``, 0 <= q <= bits.
+def _size_classes(bits: int, sizes) -> dict[int, np.ndarray]:
+    """{q: every ``bits``-bit mask of popcount q, ascending, as uint32}
+    for each q in ``sizes``, 0 <= q <= bits <= 32.
 
     Classes up to the middle are built each from the one before it: the
     masks with highest bit h are the size-(q-1) masks below h, plus h.
@@ -168,16 +169,16 @@ def _size_classes(bits: int, sizes, dtype) -> dict[int, np.ndarray]:
     reversed, so no class larger than the largest requested one is
     built.
     """
-    built = [np.zeros(1, dtype=dtype)]  # the single size-0 mask
+    built = [np.zeros(1, np.uint32)]  # the single size-0 mask
     for q in range(1, max((min(q, bits - q) for q in sizes), default=0) + 1):
-        cur = np.empty(math.comb(bits, q), dtype=dtype)
+        cur = np.empty(math.comb(bits, q), np.uint32)
         lo = 0
         for h in range(q - 1, bits):
             c = math.comb(h, q - 1)
-            np.bitwise_or(built[-1][:c], dtype(1 << h), out=cur[lo:lo + c])
+            np.bitwise_or(built[-1][:c], np.uint32(1 << h), out=cur[lo:lo + c])
             lo += c
         built.append(cur)
-    full = dtype((1 << bits) - 1)
+    full = np.uint32((1 << bits) - 1)
     return {q: built[q] if 2 * q <= bits else full ^ built[bits - q][::-1]
             for q in sizes}
 
@@ -199,7 +200,7 @@ def _level_bits(degrees: np.ndarray, top: int) -> np.ndarray:
     return table.view("<u8").reshape(n * (top + 1), words)
 
 
-def _sweep_part(adj: np.ndarray, high_adj: np.ndarray, high: np.ndarray, low: np.ndarray,
+def _sweep_part(low_adj: np.ndarray, high_adj: np.ndarray, high: np.ndarray, low: np.ndarray,
                 m: int, best: tuple[int, int]) -> tuple[int, int]:
     """``best`` raised to the best (value, mask) among the size-m masks
     h << low_bits | l, h in ``high`` and l in ``low``.
@@ -219,7 +220,7 @@ def _sweep_part(adj: np.ndarray, high_adj: np.ndarray, high: np.ndarray, low: np
     cannot win a tie, so it starts one higher.  Every tile runs at
     least one pass, so every pair is tested.
     """
-    n = len(adj)
+    n = len(low_adj)
     low_bits = n // 2
     # the word row of vertex v at level 0
     base = np.arange(n)[:, None] * (m + 1)
@@ -233,7 +234,7 @@ def _sweep_part(adj: np.ndarray, high_adj: np.ndarray, high: np.ndarray, low: np
     index = np.empty(n * step, np.intp)
     for c in reversed(range(0, len(low), width)):
         cols = low[c:c + width]
-        table = _level_bits(_degree_table(adj, cols, slice(0, low_bits)), m)
+        table = _level_bits(_degree_table(low_adj, cols, slice(0, low_bits)), m)
         # a narrower last block packs into fewer words
         span = table.shape[1]
         for r in reversed(range(0, len(high), step)):
@@ -259,34 +260,35 @@ def _sweep_part(adj: np.ndarray, high_adj: np.ndarray, high: np.ndarray, low: np
     return best
 
 
-def _blocks_by_size(digraph: Digraph,
+def _blocks_by_size(rows: list[int],
                     sizes: tuple[int, ...]) -> dict[int, tuple[int, int]]:
-    """(best value, largest mask attaining it) per size, vectorized.
+    """(best value, largest mask attaining it) per size of the digraph
+    with adjacency ``rows``, vectorized.
 
     The vertex bits split into a low half of n//2 bits and a high half
     with the rest, so a size-m mask is a high mask h of p bits ORed with
     a low mask l of m-p bits, and a vertex's out-degree into h|l is its
-    degree into h plus its degree into l.  Each part p is swept by
-    :func:`_sweep_part`, largest p first, so the largest masks come
-    early.  Every pair reaches 0, and every mask is above -1, so a size
-    starts at (0, -1).
+    degree into h plus its degree into l.  Masks and each vertex's row
+    halves are uint32, since a half has at most 32 bits.  Each part p is
+    swept by :func:`_sweep_part`, largest p first, so the largest masks
+    come early.  Every pair reaches 0, and every mask is above -1, so a
+    size starts at (0, -1).
     """
-    n = digraph.n
-    dtype = np.uint32 if n <= 32 else np.uint64
-    adj = np.array(digraph.rows, dtype=dtype)
+    n = len(rows)
     low_bits = n // 2
     high_bits = n - low_bits
+    low_adj = np.array([row & ((1 << low_bits) - 1) for row in rows], np.uint32)
+    high_adj = np.array([row >> low_bits for row in rows], np.uint32)
     parts = {m: range(max(0, m - low_bits), min(m, high_bits) + 1) for m in sizes if m}
-    highs = _size_classes(high_bits, {p for ps in parts.values() for p in ps}, dtype)
-    lows = _size_classes(low_bits, {m - p for m, ps in parts.items() for p in ps}, dtype)
+    highs = _size_classes(high_bits, {p for ps in parts.values() for p in ps})
+    lows = _size_classes(low_bits, {m - p for m, ps in parts.items() for p in ps})
     out: dict[int, tuple[int, int]] = {}
     if 0 in sizes:
         out[0] = (0, 0)
-    high_adj = adj >> dtype(low_bits)
     for m, ps in parts.items():
         best = (0, -1)
         for p in reversed(ps):
-            best = _sweep_part(adj, high_adj, highs[p], lows[m - p], m, best)
+            best = _sweep_part(low_adj, high_adj, highs[p], lows[m - p], m, best)
         out[m] = best
     return out
 
@@ -316,7 +318,7 @@ def enumerate_max(digraph: Digraph, sizes, budget: int = DEFAULT_BUDGET) -> Sear
         raise BudgetExceeded(required, budget)
     # under v -> n-1-v the id-lexicographically smallest witness is the
     # numerically largest attaining mask, which the sweep keeps
-    flipped = Digraph(n, [_reverse(row, n) for row in reversed(digraph.rows)])
+    flipped = [_reverse(row, n) for row in reversed(digraph.rows)]
     by_size = {m: (value, VertexSet(_reverse(mask, n), n))
                for m, (value, mask) in _blocks_by_size(flipped, sizes).items()}
     return SearchReport(

@@ -113,3 +113,9 @@ def test_split_certify_smoke_run_passes_its_oracles():
 def test_verify_k3_smoke_run_passes_its_oracles():
     # the sweep's exact maximum, subset count and witness over 2^26 subsets
     _smoke_run("verify-k3")
+
+
+def test_search_rand22_smoke_run_passes_its_oracles():
+    # auto and bb agree, exactly, on seeded random 22-vertex tournaments,
+    # and each witness scores its value under the tournament ceiling
+    _smoke_run("search-rand22")
