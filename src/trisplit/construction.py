@@ -139,7 +139,11 @@ def punctured_tournament(level: int) -> Digraph:
     """
     if level == 0:
         raise ValueError("puncturing needs k >= 1: level 0 has one vertex")
-    return ternary_tournament(level).delete_vertex(0)
+    rows = list(ternary_tournament(level).rows)
+    del rows[0]
+    for i, row in enumerate(rows):
+        rows[i] = row >> 1  # v becomes v-1, in place: one copy of the rows
+    return Digraph(len(rows), rows)
 
 
 def trit_arc(u: int, v: int, level: int) -> bool:

@@ -6,7 +6,7 @@ requested sizes of the minimum out-degree of the induced subdigraph:
 * ``enumerate_max`` (``blocks``) sweeps every subset of each requested
   size of a digraph of at most 64 vertices; ``budget`` counts subsets.
   It tests a tile of subsets against a threshold with one AND over
-  packed bit rows, in arrays of about ``_CHUNK`` words.
+  packed bit rows; each row block's degree table serves every size.
 * ``branch_bound_max`` (``bb``) proves the maximum for one size on any
   number of vertices; ``budget`` counts search nodes.
 
@@ -34,7 +34,7 @@ DEFAULT_BUDGET = 1 << 27
 #: mask halves.
 _SWEEP_LIMIT = 64
 #: uint64 words (256 KB) in one array of the sweep: a column block's
-#: bitset table, or a tile's gathered bit rows with their level indices.
+#: bitset table, a tile's gather and indices, a row block's uint8 table.
 _CHUNK = 1 << 15
 #: Added to a half degree of a vertex missing from that half's mask, so
 #: a missing vertex reads at least 128, above every threshold (at most
@@ -200,25 +200,24 @@ def _level_bits(degrees: np.ndarray, top: int) -> np.ndarray:
     return table.view("<u8").reshape(n * (top + 1), words)
 
 
-def _sweep_part(low_adj: np.ndarray, high_adj: np.ndarray, high: np.ndarray, low: np.ndarray,
-                m: int, best: tuple[int, int]) -> tuple[int, int]:
+def _sweep_block(low_adj: np.ndarray, high_table: np.ndarray, high: np.ndarray,
+                 low: np.ndarray, m: int, best: tuple[int, int]) -> tuple[int, int]:
     """``best`` raised to the best (value, mask) among the size-m masks
-    h << low_bits | l, h in ``high`` and l in ``low``.
+    h << low_bits | l, h in the row block ``high`` and l in ``low``.
 
     A column block of low masks takes the :func:`_level_bits` table of
     its degree table L.  A pair (h, l) reaches T iff every vertex v
-    holds bit l at level clip(T - H[v, h], 0, m), where H is the degree
-    table of a tile of high-mask rows; a vertex missing from h reads
-    ``_ABSENT`` in H and so sits at level 0, which holds every l.  So a
-    tile is tested at T by one gather of word rows and one AND over the
-    vertices.
+    holds bit l at level clip(T - H[v, h], 0, m), H = ``high_table``; a
+    vertex missing from h reads ``_ABSENT`` in H, so at level 0, which
+    holds every l.  So a tile, a view of a few columns of H, is tested
+    at T by one gather and one AND.
 
     A tile starts at the best value and climbs while some pair reaches
     T, keeping the last set bit, in row-major order, of each T reached:
-    the largest mask reaching T, since the classes ascend.  Tiles go in
-    descending order, and one whose largest mask is below the best mask
-    cannot win a tie, so it starts one higher.  Every tile runs at
-    least one pass, so every pair is tested.
+    the largest mask reaching T, as a tile's rows and columns ascend.
+    Results are max-ed into ``best``, so tiles go in any order, and one
+    whose largest mask is below the best mask cannot win a tie, so it
+    starts one higher.  Every tile, so every pair, gets a pass.
     """
     n = len(low_adj)
     low_bits = n // 2
@@ -227,8 +226,7 @@ def _sweep_part(low_adj: np.ndarray, high_adj: np.ndarray, high: np.ndarray, low
     # a column block's table holds about _CHUNK words
     width = max(1, min(len(low), 64 * _CHUNK // (n * (m + 1))))
     words = -(-width // 64)
-    # so do a tile's gather, words per vertex and row, and its level
-    # indices, one word each
+    # so do a tile's gather (words per vertex and row) and indices
     step = max(1, min(len(high), _CHUNK // (n * (words + 1))))
     gather = np.empty(n * step * words, np.uint64)
     index = np.empty(n * step, np.intp)
@@ -239,7 +237,7 @@ def _sweep_part(low_adj: np.ndarray, high_adj: np.ndarray, high: np.ndarray, low
         span = table.shape[1]
         for r in reversed(range(0, len(high), step)):
             rows = high[r:r + step]
-            degrees = _degree_table(high_adj, rows, slice(low_bits, n))
+            degrees = high_table[:, r:r + step]
             levels = gather[:degrees.size * span].reshape(n, len(rows), span)
             at = index[:degrees.size].reshape(n, len(rows))
             t = best[0] + ((int(rows[-1]) << low_bits | int(cols[-1])) < best[1])
@@ -269,10 +267,11 @@ def _blocks_by_size(rows: list[int],
     with the rest, so a size-m mask is a high mask h of p bits ORed with
     a low mask l of m-p bits, and a vertex's out-degree into h|l is its
     degree into h plus its degree into l.  Masks and each vertex's row
-    halves are uint32, since a half has at most 32 bits.  Each part p is
-    swept by :func:`_sweep_part`, largest p first, so the largest masks
-    come early.  Every pair reaches 0, and every mask is above -1, so a
-    size starts at (0, -1).
+    halves are uint32, since a half has at most 32 bits.  High class p,
+    largest first so the largest masks come early, goes by row blocks,
+    whose degree table is built once for :func:`_sweep_block` at every
+    size that pairs with p.  Every pair reaches 0, and every mask is
+    above -1, so a size starts at (0, -1).
     """
     n = len(rows)
     low_bits = n // 2
@@ -282,15 +281,16 @@ def _blocks_by_size(rows: list[int],
     parts = {m: range(max(0, m - low_bits), min(m, high_bits) + 1) for m in sizes if m}
     highs = _size_classes(high_bits, {p for ps in parts.values() for p in ps})
     lows = _size_classes(low_bits, {m - p for m, ps in parts.items() for p in ps})
-    out: dict[int, tuple[int, int]] = {}
-    if 0 in sizes:
-        out[0] = (0, 0)
-    for m, ps in parts.items():
-        best = (0, -1)
-        for p in reversed(ps):
-            best = _sweep_part(low_adj, high_adj, highs[p], lows[m - p], m, best)
-        out[m] = best
-    return out
+    best = {m: (0, -1) for m in parts}
+    height = max(1, 8 * _CHUNK // n)
+    for p in sorted(highs, reverse=True):
+        for r in reversed(range(0, len(highs[p]), height)):
+            block = highs[p][r:r + height]
+            table = _degree_table(high_adj, block, slice(low_bits, n))
+            for m, ps in parts.items():
+                if p in ps:
+                    best[m] = _sweep_block(low_adj, table, block, lows[m - p], m, best[m])
+    return ({0: (0, 0)} if 0 in sizes else {}) | best
 
 
 def enumerate_max(digraph: Digraph, sizes, budget: int = DEFAULT_BUDGET) -> SearchReport:
@@ -299,14 +299,12 @@ def enumerate_max(digraph: Digraph, sizes, budget: int = DEFAULT_BUDGET) -> Sear
     ``sizes`` is a single size or an iterable of sizes, and the digraph
     has at most 64 vertices.  Refuses with :class:`BudgetExceeded`,
     before any enumeration, when the requested sizes hold more than
-    ``budget`` subsets, the count ``nodes_visited`` reports.  Each
-    tile of subsets is tested against thresholds with one AND over
-    packed bit rows per threshold (see :func:`_sweep_part`), and every
-    subset is tested at least once.  Memory is a column block's bitset
-    table and a tile's gathered bit rows and level indices, each about
-    ``_CHUNK`` words, the n-row degree tables they come from, and the
-    half-width size classes, none larger than the largest requested
-    class: 3432 masks for every size up to 13 of 27 vertices.
+    ``budget`` subsets, the count ``nodes_visited`` reports.  It tests
+    every subset, a tile at a time (see :func:`_sweep_block`), and holds
+    a row block's degree table, a column block's bitset table and a
+    tile's gather, each about ``_CHUNK`` words, and the half-width size
+    classes, none larger than the largest requested class: 3432 masks
+    for every size up to 13 of 27 vertices.
     """
     t0 = time.perf_counter()
     n = digraph.n

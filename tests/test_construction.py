@@ -201,8 +201,20 @@ class TestPunctured:
             assert set(out.tolist()) == {n - 1, n}
 
     def test_matches_manual_deletion(self):
-        for k in (1, 2, 3):
+        for k in range(1, 7):
             assert punctured_tournament(k) == ternary_tournament(k).delete_vertex(0)
+
+    def test_level_eight_holds_one_copy_of_the_rows(self):
+        # the 6560 rows take about 5.3 MiB, so a second copy of them
+        # would pass the bound
+        tracemalloc.start()
+        try:
+            d = punctured_tournament(8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 << 20
+        assert d.n == 6560
 
     def test_still_a_tournament_naive(self):
         d = punctured_tournament(2)

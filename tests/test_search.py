@@ -186,6 +186,19 @@ class TestEnumerate:
         assert peak < 3 << 20
         assert sweep.by_size[7] == branch_bound_max(d, 7).by_size[7]
 
+    def test_sweep_holds_one_row_block_table_at_64_vertices(self):
+        # the size-5 high class has 201,376 masks, whose whole degree
+        # table would take 12.9 MB; a row block's takes 256 KB
+        d = from_arcset(random_tournament(SplitMix64(64), 64), 64)
+        tracemalloc.start()
+        try:
+            sweep = enumerate_max(d, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        assert sweep.by_size[5] == branch_bound_max(d, 5).by_size[5]
+
     def test_edge_sizes_on_64_bit_masks(self):
         # the high half sits at bits 32-63; sizes 62-64 take their half
         # classes past the middle as complements of small ones
@@ -373,7 +386,8 @@ def test_blocks_kernel_on_64_bit_masks(seed, n):
 
 
 class TestThresholdSweep:
-    """The sweep's threshold passes and its descending-tile tie rule."""
+    """The sweep's threshold passes, its tie rule across tiles, and its
+    row blocks shared by every size."""
 
     @pytest.mark.parametrize("n, m", [(20, 13), (22, 12), (24, 11), (26, 10)])
     def test_small_tiles_against_branch_and_bound(self, n, m):
@@ -385,6 +399,29 @@ class TestThresholdSweep:
             mp.setattr(trisplit.search, "_CHUNK", 1024)
             sweep = enumerate_max(d, m)
         assert sweep.by_size == branch_bound_max(d, m).by_size
+
+    @pytest.mark.parametrize("n, chunk", [(18, 64), (19, 256), (20, 256), (21, 1024),
+                                          (22, 1024)])
+    def test_sizes_sharing_a_row_block_against_branch_and_bound(self, n, chunk):
+        # every size that pairs with a high part sweeps that part's row
+        # block tables in turn, each from its own running best; at these
+        # chunks a middle part spans several row blocks and column blocks
+        d = from_arcset(random_tournament(SplitMix64(n * 100 + chunk), n), n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trisplit.search, "_CHUNK", chunk)
+            sweep = enumerate_max(d, range(n + 1))
+        for m in range(n + 1):
+            assert sweep.by_size[m] == branch_bound_max(d, m).by_size[m]
+
+    def test_verify_builds_each_high_table_once(self, monkeypatch):
+        # at 27 vertices every high class is one row block, whose table
+        # serves every size and tile; a table per tile would take 1191
+        calls = []
+        build = trisplit.search._degree_table
+        monkeypatch.setattr(trisplit.search, "_degree_table",
+                            lambda *args: calls.append(None) or build(*args))
+        assert verify_bound(3).passed
+        assert len(calls) <= 120
 
     @pytest.mark.parametrize("chunk", [64, 1 << 15])
     def test_complete_digraph_climbs_to_m_minus_one(self, chunk):
