@@ -282,7 +282,7 @@ def _blocks_by_size(rows: list[int],
     highs = _size_classes(high_bits, {p for ps in parts.values() for p in ps})
     lows = _size_classes(low_bits, {m - p for m, ps in parts.items() for p in ps})
     best = {m: (0, -1) for m in parts}
-    height = max(1, 8 * _CHUNK // n)
+    height = max(1, 8 * _CHUNK // max(n, 1))
     for p in sorted(highs, reverse=True):
         for r in reversed(range(0, len(highs[p]), height)):
             block = highs[p][r:r + height]

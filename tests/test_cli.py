@@ -294,6 +294,14 @@ class TestSearch:
         assert code == 2 and out == ""
         assert err == f"search: search needs 1 {unit}, budget allows 0\n"
 
+    @pytest.mark.parametrize("engine", ["auto", "blocks", "bb"])
+    def test_empty_digraph_at_size_zero(self, capsys, monkeypatch, engine):
+        code, out, err = invoke(capsys, ["search", "--input", "-", "--size", "0",
+                                         "--engine", engine],
+                                stdin="0\n", monkeypatch=monkeypatch)
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1] == "RESULT max=0 set=- exact=true visited=1"
+
     def test_bb_deep_search_needs_no_recursion(self, capsys, tmp_path):
         p = tmp_path / "arcless.dg"
         p.write_text(write_digraph(Digraph(1500, [0] * 1500)))

@@ -78,6 +78,9 @@ class TestEnumerate:
         r = enumerate_max(ternary_tournament(1), 0)
         assert r.best_value == 0 and len(r.best_set) == 0
 
+    def test_empty_digraph_at_size_zero(self):
+        assert enumerate_max(Digraph(0, []), 0).by_size == {0: (0, VertexSet(0, 0))}
+
     def test_budget_refusal_is_up_front(self):
         t2 = ternary_tournament(2)
         with pytest.raises(BudgetExceeded) as exc:
