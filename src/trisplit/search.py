@@ -7,6 +7,8 @@ requested sizes of the minimum out-degree of the induced subdigraph:
   size of a digraph of at most 64 vertices; ``budget`` counts subsets.
   It tests a tile of subsets against a threshold with one AND over
   packed bit rows; each row block's degree table serves every size.
+  Blocks that cannot beat a size's best under :func:`_ceiling` go
+  untested, yet ``nodes_visited`` counts their subsets too.
 * ``branch_bound_max`` (``bb``) proves the maximum for one size on any
   number of vertices; ``budget`` counts search nodes.
 
@@ -183,6 +185,17 @@ def _size_classes(bits: int, sizes) -> dict[int, np.ndarray]:
             for q in sizes}
 
 
+def _ceiling(m: int, tournament: bool) -> int:
+    """Most an m-set's minimum out-degree can be: an m-set of a tournament
+    holds C(m,2) arcs, so (m-1)//2 there, and m-1 in any digraph."""
+    return (m - 1) // 2 if tournament else m - 1
+
+
+def _start(best: tuple[int, int], top: int) -> int:
+    """Least value a mask up to ``top`` needs to raise ``best``; a tie needs a larger mask."""
+    return best[0] + (top < best[1])
+
+
 def _level_bits(degrees: np.ndarray, top: int) -> np.ndarray:
     """Bitset table of a degree table [v, i] over one block of masks.
 
@@ -201,7 +214,8 @@ def _level_bits(degrees: np.ndarray, top: int) -> np.ndarray:
 
 
 def _sweep_block(low_adj: np.ndarray, high_table: np.ndarray, high: np.ndarray,
-                 low: np.ndarray, m: int, best: tuple[int, int]) -> tuple[int, int]:
+                 low: np.ndarray, m: int, best: tuple[int, int],
+                 ceiling: int) -> tuple[int, int]:
     """``best`` raised to the best (value, mask) among the size-m masks
     h << low_bits | l, h in the row block ``high`` and l in ``low``.
 
@@ -212,12 +226,12 @@ def _sweep_block(low_adj: np.ndarray, high_table: np.ndarray, high: np.ndarray,
     holds every l.  So a tile, a view of a few columns of H, is tested
     at T by one gather and one AND.
 
-    A tile starts at the best value and climbs while some pair reaches
-    T, keeping the last set bit, in row-major order, of each T reached:
-    the largest mask reaching T, as a tile's rows and columns ascend.
-    Results are max-ed into ``best``, so tiles go in any order, and one
-    whose largest mask is below the best mask cannot win a tie, so it
-    starts one higher.  Every tile, so every pair, gets a pass.
+    A tile starts at :func:`_start` and climbs to ``ceiling`` while some
+    pair reaches T, keeping the last set bit, in row-major order, of
+    each T reached: the largest mask reaching T, as a tile's rows and
+    columns ascend.  Results are max-ed into ``best``, so tiles go in
+    any order.  A column block or tile whose start passes ``ceiling``
+    holds no pair that can raise ``best``, so it is skipped untested.
     """
     n = len(low_adj)
     low_bits = n // 2
@@ -232,6 +246,8 @@ def _sweep_block(low_adj: np.ndarray, high_table: np.ndarray, high: np.ndarray,
     index = np.empty(n * step, np.intp)
     for c in reversed(range(0, len(low), width)):
         cols = low[c:c + width]
+        if _start(best, int(high[-1]) << low_bits | int(cols[-1])) > ceiling:
+            continue
         table = _level_bits(_degree_table(low_adj, cols, slice(0, low_bits)), m)
         # a narrower last block packs into fewer words
         span = table.shape[1]
@@ -240,8 +256,8 @@ def _sweep_block(low_adj: np.ndarray, high_table: np.ndarray, high: np.ndarray,
             degrees = high_table[:, r:r + step]
             levels = gather[:degrees.size * span].reshape(n, len(rows), span)
             at = index[:degrees.size].reshape(n, len(rows))
-            t = best[0] + ((int(rows[-1]) << low_bits | int(cols[-1])) < best[1])
-            while True:
+            t = _start(best, int(rows[-1]) << low_bits | int(cols[-1]))
+            while t <= ceiling:
                 np.subtract(base + t, degrees, out=at)
                 np.maximum(at, base, out=at)
                 # every index is in range; "clip" lets take fill ``out`` unbuffered
@@ -258,8 +274,8 @@ def _sweep_block(low_adj: np.ndarray, high_table: np.ndarray, high: np.ndarray,
     return best
 
 
-def _blocks_by_size(rows: list[int],
-                    sizes: tuple[int, ...]) -> dict[int, tuple[int, int]]:
+def _blocks_by_size(rows: list[int], sizes: tuple[int, ...],
+                    tournament: bool) -> dict[int, tuple[int, int]]:
     """(best value, largest mask attaining it) per size of the digraph
     with adjacency ``rows``, vectorized.
 
@@ -270,8 +286,9 @@ def _blocks_by_size(rows: list[int],
     halves are uint32, since a half has at most 32 bits.  High class p,
     largest first so the largest masks come early, goes by row blocks,
     whose degree table is built once for :func:`_sweep_block` at every
-    size that pairs with p.  Every pair reaches 0, and every mask is
-    above -1, so a size starts at (0, -1).
+    size that pairs with p and whose best the block can still raise; a
+    block that none can is skipped.  Every pair reaches 0, and every
+    mask is above -1, so a size starts at (0, -1).
     """
     n = len(rows)
     low_bits = n // 2
@@ -282,14 +299,19 @@ def _blocks_by_size(rows: list[int],
     highs = _size_classes(high_bits, {p for ps in parts.values() for p in ps})
     lows = _size_classes(low_bits, {m - p for m, ps in parts.items() for p in ps})
     best = {m: (0, -1) for m in parts}
+    ceiling = {m: _ceiling(m, tournament) for m in parts}
     height = max(1, 8 * _CHUNK // max(n, 1))
     for p in sorted(highs, reverse=True):
         for r in reversed(range(0, len(highs[p]), height)):
             block = highs[p][r:r + height]
+            top = int(block[-1]) << low_bits
+            todo = [m for m, ps in parts.items()
+                    if p in ps and _start(best[m], top | int(lows[m - p][-1])) <= ceiling[m]]
+            if not todo:
+                continue
             table = _degree_table(high_adj, block, slice(low_bits, n))
-            for m, ps in parts.items():
-                if p in ps:
-                    best[m] = _sweep_block(low_adj, table, block, lows[m - p], m, best[m])
+            for m in todo:
+                best[m] = _sweep_block(low_adj, table, block, lows[m - p], m, best[m], ceiling[m])
     return ({0: (0, 0)} if 0 in sizes else {}) | best
 
 
@@ -299,8 +321,9 @@ def enumerate_max(digraph: Digraph, sizes, budget: int = DEFAULT_BUDGET) -> Sear
     ``sizes`` is a single size or an iterable of sizes, and the digraph
     has at most 64 vertices.  Refuses with :class:`BudgetExceeded`,
     before any enumeration, when the requested sizes hold more than
-    ``budget`` subsets, the count ``nodes_visited`` reports.  It tests
-    every subset, a tile at a time (see :func:`_sweep_block`), and holds
+    ``budget`` subsets, the count ``nodes_visited`` reports.  It covers
+    every subset, a tile at a time (see :func:`_sweep_block`), but
+    tests only the blocks that can still beat a size's best, and holds
     a row block's degree table, a column block's bitset table and a
     tile's gather, each about ``_CHUNK`` words, and the half-width size
     classes, none larger than the largest requested class: 3432 masks
@@ -314,11 +337,12 @@ def enumerate_max(digraph: Digraph, sizes, budget: int = DEFAULT_BUDGET) -> Sear
     required = sum(math.comb(n, m) for m in sizes)
     if required > budget:
         raise BudgetExceeded(required, budget)
+    tournament = digraph.is_tournament()
     # under v -> n-1-v the id-lexicographically smallest witness is the
     # numerically largest attaining mask, which the sweep keeps
     flipped = [_reverse(row, n) for row in reversed(digraph.rows)]
     by_size = {m: (value, VertexSet(_reverse(mask, n), n))
-               for m, (value, mask) in _blocks_by_size(flipped, sizes).items()}
+               for m, (value, mask) in _blocks_by_size(flipped, sizes, tournament).items()}
     return SearchReport(
         by_size=by_size,
         nodes_visited=required,
@@ -396,9 +420,8 @@ def branch_bound_max(digraph: Digraph, target_size: int,
     candidate.  Pruning rules, each sound because it cuts only
     branches that hold no m-set of minimum out-degree t or more:
 
-    * ceiling: a tournament's size-m subset has a vertex beaten at
-      least (m-1)//2 times inside it, so the search stops once the
-      running best reaches floor((m-1)/2) (m-1 for general digraphs);
+    * ceiling: the search stops once the running best reaches
+      :func:`_ceiling`, which no m-set passes;
     * capped potential: a vertex ends with at most a + min(r', b)
       out-neighbours, since only r' more vertices join beside it;
     * arc count, tournaments only: an m-vertex tournament holds C(m,2)
@@ -442,7 +465,7 @@ def branch_bound_max(digraph: Digraph, target_size: int,
     t0 = time.perf_counter()
     rows = digraph.rows
     tournament = digraph.is_tournament()
-    ceiling = (m - 1) // 2 if tournament else m - 1
+    ceiling = _ceiling(m, tournament)
     best, best_mask, visited, pruned = -1, 0, 0, 0
     # the arc-count bound hi; m-1 never cuts, and stays outside tournaments
     hi = m - 1

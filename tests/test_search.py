@@ -1,6 +1,7 @@
 """Exhaustive and branch-and-bound subset maximization."""
 
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -379,6 +380,29 @@ def test_blocks_kernel_is_exact_at_any_tile_size(chunk, seed, n, density):
     assert_blocks_kernel_exact(from_arcset(arcs, n), arcs, range(n + 1), chunk)
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32),
+       n=st.integers(min_value=1, max_value=11))
+def test_blocks_kernel_is_exact_on_tournaments_at_any_tile_size(chunk, seed, n):
+    # tournaments have the lower ceiling (m-1)//2, which the sweep's
+    # block skips stop at; the oracle knows no ceiling
+    arcs = random_tournament(SplitMix64(seed), n)
+    assert_blocks_kernel_exact(from_arcset(arcs, n), arcs, range(n + 1), chunk)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("d", [ternary_tournament(2),
+                               Digraph.from_arcs(7, [(i, (i + j) % 7) for i in range(7)
+                                                     for j in (1, 2, 3)])],
+                         ids=["ternary-9", "cyclic-7"])
+def test_blocks_kernel_is_exact_on_regular_tournaments(chunk, d):
+    # these reach the ceiling at every size but 5 and 7 of the ternary
+    # 9, so later blocks of those sizes are skipped, and ties at the
+    # ceiling decide the witness
+    assert_blocks_kernel_exact(d, arcs_of(d), range(d.n + 1), chunk)
+
+
 @settings(max_examples=4, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2 ** 32),
        n=st.integers(min_value=33, max_value=40))
@@ -416,15 +440,42 @@ class TestThresholdSweep:
         for m in range(n + 1):
             assert sweep.by_size[m] == branch_bound_max(d, m).by_size[m]
 
+    @staticmethod
+    def count_tables(monkeypatch):
+        """Calls of the sweep's two table builders, counted as they run."""
+        calls = Counter()
+
+        def counted(name, build):
+            def wrapper(*args):
+                calls[name] += 1
+                return build(*args)
+            return wrapper
+
+        for name in ("_degree_table", "_level_bits"):
+            monkeypatch.setattr(trisplit.search, name,
+                                counted(name, getattr(trisplit.search, name)))
+        return calls
+
     def test_verify_builds_each_high_table_once(self, monkeypatch):
         # at 27 vertices every high class is one row block, whose table
-        # serves every size and tile; a table per tile would take 1191
-        calls = []
-        build = trisplit.search._degree_table
-        monkeypatch.setattr(trisplit.search, "_degree_table",
-                            lambda *args: calls.append(None) or build(*args))
+        # serves every size and tile; a table per tile would take 1191.
+        # Blocks of the sizes already at their ceiling build none: 118
+        # and 104 calls without that skip
+        calls = self.count_tables(monkeypatch)
         assert verify_bound(3).passed
-        assert len(calls) <= 120
+        assert calls["_degree_table"] <= 73
+        assert calls["_level_bits"] <= 59
+
+    def test_sixty_four_vertices_stop_at_the_ceiling(self, monkeypatch):
+        # the first blocks reach the ceiling of 2 at size 6, so no later
+        # row block or column block builds a table; 817 and 531 without
+        # the skip
+        arcs = random_tournament(SplitMix64(64), 64)
+        calls = self.count_tables(monkeypatch)
+        value, witness = enumerate_max(from_arcset(arcs, 64), 6).by_size[6]
+        assert (value, witness.ids()) == (2, (0, 1, 2, 3, 5, 10))
+        assert naive_min_out_degree(arcs, set(witness.ids())) == 2
+        assert calls == {"_degree_table": 4, "_level_bits": 2}
 
     @pytest.mark.parametrize("chunk", [64, 1 << 15])
     def test_complete_digraph_climbs_to_m_minus_one(self, chunk):
