@@ -184,7 +184,8 @@ class Digraph:
         Checked one block of ``_rows_per_block(n)`` rows u at a time,
         against every vertex v >= the block's first: A[u, v] + A[v, u]
         must be 1, and is 0 at u = v, which gets 1 added.  The last
-        block, a single one included, is its own block of columns.
+        block, a single one included, is its own block of columns, so
+        it needs no second unpack.
         """
         n = self.n
         step = _rows_per_block(n)

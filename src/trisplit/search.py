@@ -36,7 +36,8 @@ DEFAULT_BUDGET = 1 << 27
 #: mask halves.
 _SWEEP_LIMIT = 64
 #: uint64 words (256 KB) in one array of the sweep: a column block's
-#: bitset table, a tile's gather and indices, a row block's uint8 table.
+#: bitset table, a tile's gather and indices, a row block's uint8 table,
+#: whose AND holds four times that.
 _CHUNK = 1 << 15
 #: Added to a half degree of a vertex missing from that half's mask, so
 #: a missing vertex reads at least 128, above every threshold (at most
@@ -139,18 +140,10 @@ def _degree_table(adj: np.ndarray, masks: np.ndarray, own: slice) -> np.ndarray:
     ``adj`` holds each vertex's row half over the half the uint32
     ``masks`` come from, and ``own`` is that half's vertices, bit b
     being vertex own.start + b.  An own vertex missing from a mask reads
-    ``_ABSENT`` more, so it passes every threshold.  The AND+popcount
-    runs on blocks of vertex rows holding at most ``_CHUNK`` words, or
-    on one row when a row alone holds more.
+    ``_ABSENT`` more, so it passes every threshold.  The AND holds one
+    uint32 temporary, four times the table.
     """
-    table = np.empty((len(adj), len(masks)), np.uint8)
-    step = max(1, _CHUNK // len(masks))
-    scratch = np.empty((min(step, len(adj)), len(masks)), np.uint32)
-    for v in range(0, len(adj), step):
-        block = adj[v:v + step, None]
-        words = scratch[:len(block)]
-        np.bitwise_and(block, masks, out=words)
-        np.bitwise_count(words, out=table[v:v + step])
+    table = np.bitwise_count(adj[:, None] & masks)
     members = table[own]
     # bit b of masks[i] at [i, b], for the own vertices' bits
     bits = np.unpackbits(masks[:, None].astype("<u4").view(np.uint8),
@@ -201,8 +194,8 @@ def _level_bits(degrees: np.ndarray, top: int) -> np.ndarray:
 
     Word row v * (top + 1) + a holds, bit i % 64 of word i // 64, whether
     degrees[v, i] >= a, for a = 0..top.  It is packed one level at a
-    time, and the tail bits past the last mask stay 0, so level 0 holds
-    exactly the block's masks.
+    time, faster than one 3-D packbits, and the tail bits past the last
+    mask stay 0, so level 0 holds exactly the block's masks.
     """
     n, width = degrees.shape
     words = -(-width // 64)
@@ -240,7 +233,8 @@ def _sweep_block(low_adj: np.ndarray, high_table: np.ndarray, high: np.ndarray,
     # a column block's table holds about _CHUNK words
     width = max(1, min(len(low), 64 * _CHUNK // (n * (m + 1))))
     words = -(-width // 64)
-    # so do a tile's gather (words per vertex and row) and indices
+    # so do a tile's gather (words per vertex and row) and indices, made
+    # once: fresh ones per threshold slow the sweep by half
     step = max(1, min(len(high), _CHUNK // (n * (words + 1))))
     gather = np.empty(n * step * words, np.uint64)
     index = np.empty(n * step, np.intp)
@@ -325,7 +319,8 @@ def enumerate_max(digraph: Digraph, sizes, budget: int = DEFAULT_BUDGET) -> Sear
     every subset, a tile at a time (see :func:`_sweep_block`), but
     tests only the blocks that can still beat a size's best, and holds
     a row block's degree table, a column block's bitset table and a
-    tile's gather, each about ``_CHUNK`` words, and the half-width size
+    tile's gather, each about ``_CHUNK`` words, the uint32 AND behind a
+    degree table, four times that, and the half-width size
     classes, none larger than the largest requested class: 3432 masks
     for every size up to 13 of 27 vertices.
     """
@@ -381,7 +376,7 @@ def _settle(rows: list[int], sel: int, pool: int, left: int, t: int,
                 forced = deg + left - others
                 if a + picks >= t and a <= hi and forced <= hi:
                     # a selected vertex with no slack forces picks, all
-                    # read off this one state
+                    # read off this one state; one with slack skips the masks
                     if not low & sel or (a < hi and a + left > t and deg > t
                                          and forced < hi):
                         continue

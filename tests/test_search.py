@@ -1,9 +1,11 @@
 """Exhaustive and branch-and-bound subset maximization."""
 
+import random
 import tracemalloc
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,7 @@ from trisplit import (
     ternary_tournament,
     verify_bound,
 )
-from trisplit.search import _size_classes
+from trisplit.search import _ABSENT, _CHUNK, _degree_table, _size_classes
 
 from naive import (arcs_of, naive_max_over_sizes, naive_min_out_degree, random_digraph,
                    random_tournament)
@@ -57,6 +59,47 @@ class TestMaskIteration:
         assert classes[24].tolist() == [(1 << 24) - 1]
         assert classes[23].tolist() == sorted((1 << 24) - 1 - (1 << i) for i in range(24))
         assert peak < 4096
+
+
+class TestDegreeTable:
+    """``_degree_table`` entry by entry against Python popcounts, with
+    ``_ABSENT`` added for an own vertex missing from the mask."""
+
+    @staticmethod
+    def expected(adj, masks, own):
+        return [[(row & mask).bit_count()
+                 + (_ABSENT if v in range(own.start, own.stop)
+                    and not mask >> (v - own.start) & 1 else 0)
+                 for mask in masks] for v, row in enumerate(adj)]
+
+    def check(self, adj, masks, own):
+        table = _degree_table(np.array(adj, np.uint32), np.array(masks, np.uint32), own)
+        assert table.dtype == np.uint8
+        assert table.tolist() == self.expected(adj, masks, own)
+        return table
+
+    @pytest.mark.parametrize("bits", [1, 13, 14, 32])
+    @pytest.mark.parametrize("start", [0, 3])
+    @pytest.mark.parametrize("more", [False, True])
+    def test_matches_popcounts(self, bits, start, more):
+        # vertices start..start+bits-1 own the half, two more rows follow;
+        # mask counts below and above _CHUNK // n
+        rng = random.Random(bits * 10 + start)
+        n = start + bits + 2
+        count = 3 * (_CHUNK // n) + 1 if more else _CHUNK // n - 1
+        adj = [rng.getrandbits(bits) for _ in range(n)]
+        masks = [rng.getrandbits(bits) for _ in range(count)]
+        self.check(adj, masks, slice(start, start + bits))
+
+    def test_complete_digraph_own_bit_31(self):
+        # the high half of 64 vertices: vertex 63 is own bit 31.  A mask
+        # missing it reads _ABSENT + 31 there, the other half's rows read
+        # 32 against the full mask, and _ABSENT + 32 bounds both in uint8
+        rows = [((1 << 64) - 1) ^ (1 << v) for v in range(64)]
+        masks = [0, 1 << 31, (1 << 31) - 1, (1 << 32) - 1, 0x5555_5555]
+        table = self.check([row >> 32 for row in rows], masks, slice(32, 64))
+        assert table[63].tolist() == [_ABSENT, 0, _ABSENT + 31, 31, _ABSENT + 16]
+        assert table[:32, 3].tolist() == [32] * 32
 
 
 class TestEnumerate:
@@ -177,31 +220,37 @@ class TestEnumerate:
             tracemalloc.stop()
         assert peak < 2 << 20
 
-    def test_sweep_holds_32_bit_halves_above_32_vertices(self):
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_sweep_holds_32_bit_halves_above_32_vertices(self, m):
         # 40 vertices split into two 20-bit halves, held in uint32 words;
+        # sizes 1-8 are those the default budget admits, and at size 7
         # the same sweep on uint64 words peaks at about 3.4 MiB
         d = from_arcset(random_tournament(SplitMix64(40), 40), 40)
         tracemalloc.start()
         try:
-            sweep = enumerate_max(d, 7)
+            sweep = enumerate_max(d, m)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 3 << 20
-        assert sweep.by_size[7] == branch_bound_max(d, 7).by_size[7]
+        assert sweep.by_size[m] == branch_bound_max(d, m).by_size[m]
 
-    def test_sweep_holds_one_row_block_table_at_64_vertices(self):
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_sweep_holds_one_row_block_table_at_64_vertices(self, m):
         # the size-5 high class has 201,376 masks, whose whole degree
-        # table would take 12.9 MB; a row block's takes 256 KB
+        # table would take 12.9 MB; a row block's table takes 256 KB, and
+        # the AND behind it one uint32 temporary of 1 MiB.  At size 6 the
+        # two 906,192-mask half classes take 7.2 MB, against 58 MB for a
+        # whole-class degree table
         d = from_arcset(random_tournament(SplitMix64(64), 64), 64)
         tracemalloc.start()
         try:
-            sweep = enumerate_max(d, 5)
+            sweep = enumerate_max(d, m)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 << 20
-        assert sweep.by_size[5] == branch_bound_max(d, 5).by_size[5]
+        assert peak < (4 << 20 if m < 6 else 10 << 20)
+        assert sweep.by_size[m] == branch_bound_max(d, m).by_size[m]
 
     def test_edge_sizes_on_64_bit_masks(self):
         # the high half sits at bits 32-63; sizes 62-64 take their half
