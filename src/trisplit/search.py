@@ -8,7 +8,8 @@ requested sizes of the minimum out-degree of the induced subdigraph:
   It tests a tile of subsets against a threshold with one AND over
   packed bit rows; each row block's degree table serves every size.
   Blocks that cannot beat a size's best under :func:`_ceiling` go
-  untested, yet ``nodes_visited`` counts their subsets too.
+  untested, and :func:`verify_bound` sweeps only the family's
+  canonical subsets, yet ``nodes_visited`` counts every subset.
 * ``branch_bound_max`` (``bb``) proves the maximum for one size on any
   number of vertices; ``budget`` counts search nodes.
 
@@ -268,8 +269,8 @@ def _sweep_block(low_adj: np.ndarray, high_table: np.ndarray, high: np.ndarray,
     return best
 
 
-def _blocks_by_size(rows: list[int], sizes: tuple[int, ...],
-                    tournament: bool) -> dict[int, tuple[int, int]]:
+def _blocks_by_size(rows: list[int], sizes: tuple[int, ...], tournament: bool,
+                    blocks=()) -> dict[int, tuple[int, int]]:
     """(best value, largest mask attaining it) per size of the digraph
     with adjacency ``rows``, vectorized.
 
@@ -283,6 +284,13 @@ def _blocks_by_size(rows: list[int], sizes: tuple[int, ...],
     size that pairs with p and whose best the block can still raise; a
     block that none can is skipped.  Every pair reaches 0, and every
     mask is above -1, so a size starts at (0, -1).
+
+    ``blocks`` holds (first vertex, block) mask pairs of id intervals,
+    the first vertex being the least id, in these labels.  The half
+    holding a block's first vertex keeps only the masks that hold it or
+    miss the block, so the sweep still covers every subset holding the
+    first vertex of each block it meets.  No class empties: the q least
+    ids of a half hold the first vertex of every block they meet.
     """
     n = len(rows)
     low_bits = n // 2
@@ -292,6 +300,12 @@ def _blocks_by_size(rows: list[int], sizes: tuple[int, ...],
     parts = {m: range(max(0, m - low_bits), min(m, high_bits) + 1) for m in sizes if m}
     highs = _size_classes(high_bits, {p for ps in parts.values() for p in ps})
     lows = _size_classes(low_bits, {m - p for m, ps in parts.items() for p in ps})
+    for first, block in blocks:
+        # a block straddling the halves is checked from its first vertex's half
+        half, shift = (highs, low_bits) if first >> low_bits else (lows, 0)
+        first, block = np.uint32(first >> shift), np.uint32(block >> shift)
+        for q, masks in half.items():
+            half[q] = masks[(masks & block == 0) | (masks & first != 0)]
     best = {m: (0, -1) for m in parts}
     ceiling = {m: _ceiling(m, tournament) for m in parts}
     height = max(1, 8 * _CHUNK // max(n, 1))
@@ -309,7 +323,8 @@ def _blocks_by_size(rows: list[int], sizes: tuple[int, ...],
     return ({0: (0, 0)} if 0 in sizes else {}) | best
 
 
-def enumerate_max(digraph: Digraph, sizes, budget: int = DEFAULT_BUDGET) -> SearchReport:
+def enumerate_max(digraph: Digraph, sizes, budget: int = DEFAULT_BUDGET, *,
+                  _blocks=()) -> SearchReport:
     """Exhaustive maximum of min-out-degree over the given subset sizes.
 
     ``sizes`` is a single size or an iterable of sizes, and the digraph
@@ -317,12 +332,13 @@ def enumerate_max(digraph: Digraph, sizes, budget: int = DEFAULT_BUDGET) -> Sear
     before any enumeration, when the requested sizes hold more than
     ``budget`` subsets, the count ``nodes_visited`` reports.  It covers
     every subset, a tile at a time (see :func:`_sweep_block`), but
-    tests only the blocks that can still beat a size's best, and holds
-    a row block's degree table, a column block's bitset table and a
-    tile's gather, each about ``_CHUNK`` words, the uint32 AND behind a
-    degree table, four times that, and the half-width size
-    classes, none larger than the largest requested class: 3432 masks
-    for every size up to 13 of 27 vertices.
+    tests only the blocks that can still beat a size's best, and none
+    that ``_blocks``, a private argument of :func:`verify_bound`, rules
+    out (see :func:`_blocks_by_size`).  It holds a row block's degree
+    table, a column block's bitset table and a tile's gather, each
+    about ``_CHUNK`` words, the uint32 AND behind a degree table, four
+    times that, and the half-width size classes: 3432 masks for every
+    size up to 13 of 27 vertices.
     """
     t0 = time.perf_counter()
     n = digraph.n
@@ -336,8 +352,9 @@ def enumerate_max(digraph: Digraph, sizes, budget: int = DEFAULT_BUDGET) -> Sear
     # under v -> n-1-v the id-lexicographically smallest witness is the
     # numerically largest attaining mask, which the sweep keeps
     flipped = [_reverse(row, n) for row in reversed(digraph.rows)]
-    by_size = {m: (value, VertexSet(_reverse(mask, n), n))
-               for m, (value, mask) in _blocks_by_size(flipped, sizes, tournament).items()}
+    blocks = [(_reverse(first, n), _reverse(block, n)) for first, block in _blocks]
+    by_size = {m: (value, VertexSet(_reverse(mask, n), n)) for m, (value, mask)
+               in _blocks_by_size(flipped, sizes, tournament, blocks).items()}
     return SearchReport(
         by_size=by_size,
         nodes_visited=required,
@@ -502,19 +519,27 @@ def branch_bound_max(digraph: Digraph, target_size: int,
 def verify_bound(level: int, budget: int = DEFAULT_BUDGET) -> VerifyOutcome:
     """Exhaustively check the level's subset degree cap.
 
-    Sweeps every subset of size 0..(3**level - 1)//2 of the level's
-    tournament and compares the exact maximum against the closed-form
-    bound.  A level past the construction limit, or above 3, whose
-    tournament has more than 64 vertices, raises ValueError before the
-    tournament is built.  At levels 0..3 ``enumerate_max`` raises
-    :class:`BudgetExceeded` before it sweeps when the 2**(3**level - 1)
-    subsets exceed ``budget``.
+    Finds the exact maximum over subsets of size 0..(3**level - 1)//2
+    of the level's tournament and compares it against the closed-form
+    bound.  Each block of 3**j consecutive ids is a module whose three
+    sub-blocks rotate by an automorphism.  If X, the id-smallest set
+    attaining a size's maximum, met a block but missed its first vertex
+    v, it would miss the first sub-block of the least block B on v that
+    it meets; moving B's sub-blocks back one would give an id-smaller
+    set of equal score.  So the sweep skips every such set, with the
+    same value and witness.  A level past the construction limit, or
+    above 3, whose tournament has more than 64 vertices, raises
+    ValueError before the tournament is built.  At levels 0..3
+    ``enumerate_max`` raises :class:`BudgetExceeded` before it sweeps
+    when the 2**(3**level - 1) subsets exceed ``budget``.
     """
     check_level(level)
     params = level_params(level)
     if params.order > _SWEEP_LIMIT:
         raise ValueError(f"level {level} has {params.order} vertices, "
                          f"the exhaustive sweep takes at most {_SWEEP_LIMIT}")
+    blocks = [(1 << s, ((1 << 3 ** j) - 1) << s) for j in range(1, level + 1)
+              for s in range(0, params.order, 3 ** j)]
     report = enumerate_max(ternary_tournament(level), range(params.reg_degree + 1),
-                           budget=budget)
+                           budget=budget, _blocks=blocks)
     return VerifyOutcome(params.bound, report)

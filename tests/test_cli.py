@@ -515,6 +515,8 @@ GOLDEN = {
         "a4deaebd63a7ca443d71ab3064923c426e132a5cdff459597a13cb480646df37",
     "verify --k 2":
         "226923b08d187c79a689e78db04571f7814892f15160086e47cbd68d82df825c",
+    "verify --k 3":
+        "ef369f91803b8b3db83811149ccd6ba7502bcbfd2b7f60a7c234b1c13af72dca",
     "generate --k 4":
         "c8960a656506149cd1e0727d8042bcc63bcc2fabeb2d3530920fbe0f38478eeb",
     "generate --k 4 --delete-vertex":

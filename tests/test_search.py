@@ -405,6 +405,63 @@ class TestVerify:
         assert verify_bound(2).report.best_set.ids() == (0, 1, 2)
 
 
+def family_blocks(level):
+    """Every block of 3**j consecutive ids, j = 1..level, as (first id, size)."""
+    return [(s, 3 ** j) for j in range(1, level + 1) for s in range(0, 3 ** level, 3 ** j)]
+
+
+def is_canonical(ids, level):
+    """Whether ``ids`` holds the first vertex of every block it meets."""
+    return all(s in ids for s, size in family_blocks(level)
+               if any(s <= v < s + size for v in ids))
+
+
+class TestCanonicalSweep:
+    """``verify_bound`` sweeps only the canonical subsets, those holding
+    the first vertex of every block they meet; the generic sweep over
+    every subset, and at k <= 2 the naive oracle, are its oracles."""
+
+    @pytest.mark.parametrize("chunk", [64, 1024, _CHUNK])
+    @pytest.mark.parametrize("k", range(4))
+    def test_matches_the_generic_sweep(self, k, chunk):
+        want = enumerate_max(ternary_tournament(k), range((3 ** k - 1) // 2 + 1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trisplit.search, "_CHUNK", chunk)
+            got = verify_bound(k).report
+        assert got.by_size == want.by_size
+        assert got.nodes_visited == want.nodes_visited
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_matches_naive_per_size(self, k):
+        d = ternary_tournament(k)
+        arcs = arcs_of(d)
+        for m, (value, witness) in verify_bound(k).report.by_size.items():
+            assert (value, witness.ids()) == naive_max_over_sizes(arcs, d.n, [m])
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_rotating_a_block_is_an_automorphism(self, k):
+        # the sub-blocks of a block map to the next one, cyclically; a
+        # row is a vertex's out-neighbours, so rows map to rows
+        rows = ternary_tournament(k).rows
+        for s, size in family_blocks(k):
+            perm = [s + (v - s + size // 3) % size if s <= v < s + size else v
+                    for v in range(len(rows))]
+            image = [sum(1 << perm[w] for w in range(len(rows)) if row >> w & 1)
+                     for row in rows]
+            assert all(image[u] == rows[perm[u]] for u in range(len(rows)))
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_smallest_attaining_set_is_canonical_naive(self, k):
+        d = ternary_tournament(k)
+        arcs = arcs_of(d)
+        for m in range(d.n + 1):
+            assert is_canonical(naive_max_over_sizes(arcs, d.n, [m])[1], k)
+
+    def test_smallest_attaining_set_is_canonical_at_level_three(self):
+        sweep = enumerate_max(ternary_tournament(3), range(28))
+        assert all(is_canonical(w.ids(), 3) for _, w in sweep.by_size.values())
+
+
 def assert_blocks_kernel_exact(d, arcs, sizes, chunk):
     """The sweep at a given chunk size against the naive oracle, per
     size and over all sizes, witnesses included."""
@@ -514,6 +571,21 @@ class TestThresholdSweep:
         assert verify_bound(3).passed
         assert calls["_degree_table"] <= 73
         assert calls["_level_bits"] <= 59
+
+    def test_verify_tables_only_canonical_masks(self, monkeypatch):
+        # the generic sweep of the level-3 tournament tables 16,383 high
+        # and 31,695 low masks, over 641 threshold passes (106 here)
+        tabled = Counter()
+        build = trisplit.search._degree_table
+
+        def counted(adj, masks, own):
+            tabled["high" if own.start else "low"] += len(masks)
+            return build(adj, masks, own)
+
+        monkeypatch.setattr(trisplit.search, "_degree_table", counted)
+        assert verify_bound(3).passed
+        assert tabled["high"] <= 1300
+        assert tabled["low"] <= 3488
 
     def test_sixty_four_vertices_stop_at_the_ceiling(self, monkeypatch):
         # the first blocks reach the ceiling of 2 at size 6, so no later
