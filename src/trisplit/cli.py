@@ -26,6 +26,7 @@ import csv
 import functools
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .certify import actual_min_out_degree, certify_bound
@@ -60,7 +61,18 @@ def _ids_str(vs: VertexSet) -> str:
 
 
 def _parse_id_list(text: str) -> list[int]:
-    return [int(t) for t in map(str.strip, text.split(",")) if t]
+    """Comma-separated vertex ids, each an optional "-" and ASCII digits
+    with blanks around it; empty tokens are skipped, repeats refused.
+    int() alone would also read "+3", "1_0" and non-ASCII digits."""
+    tokens = list(filter(None, map(str.strip, text.split(","))))
+    bad = [t for t in tokens if not (t.isascii() and t.removeprefix("-").isdigit())]
+    if bad:
+        raise ValueError(f"malformed vertex id {bad[0]!r}")
+    ids = list(map(int, tokens))
+    if len(set(ids)) < len(ids):
+        v = next(v for v, count in Counter(ids).items() if count > 1)
+        raise ValueError(f"vertex {v} listed twice")
+    return ids
 
 
 def _report_lines(pairs) -> str:

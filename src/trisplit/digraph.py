@@ -221,11 +221,11 @@ def read_digraph(text: str) -> Digraph:
     characters from {0,1}; character j of line i is 1 iff arc i->j.
     The diagonal must be 0 and a final newline is required.
 
-    Rows are checked and packed one block of ``_rows_per_block(n)``
-    rows at a time, sliced from ``text`` by offset, so beyond the text
+    Rows are checked in one pass per block of ``_rows_per_block(n)``
+    rows, sliced from ``text`` by offset, and packed; only a block
+    that fails is walked row by row, so the first offending row
+    decides the error, whichever block it lies in.  Beyond the text
     and the packed rows the parse holds a few block-sized buffers.
-    The first offending row decides the error, whichever block it lies
-    in.
     """
     if not text.endswith("\n"):
         raise DigraphFormatError("missing final newline")
@@ -242,30 +242,27 @@ def read_digraph(text: str) -> Digraph:
     rows: list[int] = []
     for lo in range(0, n, step):
         count = min(step, n - lo)
+        size = count * (n + 1)
         # one byte per character: "replace" turns each non-ASCII one into "?"
-        data = np.frombuffer(text[start:start + count * (n + 1)].encode("ascii", "replace"),
-                             dtype=np.uint8)
-        lengths = np.diff(np.flatnonzero(data == ord("\n")), prepend=-1)[:count] - 1
-        wrong = np.flatnonzero(lengths != n)
-        # rows before the first one of the wrong length form a grid
-        shaped = int(wrong[0]) if len(wrong) else len(lengths)
-        grid = data[:shaped * (n + 1)].reshape(shaped, n + 1)[:, :n]
-        bad_chars = ((grid | 1) != ord("1")).any(axis=1)
-        loops = grid[np.arange(shaped), lo + np.arange(shaped)] == ord("1")
-        bad = np.flatnonzero(bad_chars | loops)
-        if len(bad):
-            i = int(bad[0])
-            if bad_chars[i]:
-                raise DigraphFormatError(f"row {lo + i} contains characters other than 0/1")
-            raise DigraphFormatError(f"self-loop bit set at vertex {lo + i}")
-        if shaped < count:
-            # the row may run past this block; every row ends in a newline
-            row_start = start + shaped * (n + 1)
-            length = text.index("\n", row_start) - row_start
-            raise DigraphFormatError(f"row {lo + shaped} has length {length}, expected {n}")
+        data = np.frombuffer(text[start:start + size].encode("ascii", "replace"), dtype=np.uint8)
+        grid = data.reshape(count, n + 1) if len(data) == size else None
+        i = np.arange(count)
+        if (grid is None or not (grid[:, n] == ord("\n")).all()
+                or not ((grid[:, :n] | 1) == ord("1")).all()
+                or (grid[i, lo + i] == ord("1")).any()):
+            # every row ends in a newline, and a faulty one may run past this block
+            for u in range(lo, lo + count):
+                end = text.index("\n", start)
+                row, start = text[start:end], end + 1
+                if len(row) != n:
+                    raise DigraphFormatError(f"row {u} has length {len(row)}, expected {n}")
+                if row.strip("01"):
+                    raise DigraphFormatError(f"row {u} contains characters other than 0/1")
+                if row[u] == "1":
+                    raise DigraphFormatError(f"self-loop bit set at vertex {u}")
         # character j of a line is bit j of its row
-        rows += _pack_rows(grid == ord("1"))
-        start += count * (n + 1)
+        rows += _pack_rows(grid[:, :n] == ord("1"))
+        start += size
     return Digraph(n, rows)
 
 

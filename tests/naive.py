@@ -80,3 +80,29 @@ def random_tournament(rng, n):
             else:
                 arcs.add((v, u))
     return frozenset(arcs)
+
+
+def naive_read_fault(text):
+    """The message the text format's reader must raise for ``text``, or
+    None when it is valid: a header line holding the vertex count n in
+    ASCII digits, then n lines of n characters from {0,1} with a 0 on
+    the diagonal.  The first faulty row decides; within a row a wrong
+    length comes before a bad character, and that before a self-loop.
+    """
+    if not text.endswith("\n"):
+        return "missing final newline"
+    header, *rows = text.split("\n")[:-1]
+    header = header.strip()
+    if not header or any(c not in "0123456789" for c in header):
+        return f"malformed vertex count {header!r}"
+    n = int(header)
+    if len(rows) != n:
+        return f"expected {n} rows, got {len(rows)}"
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            return f"row {i} has length {len(row)}, expected {n}"
+        if any(c not in "01" for c in row):
+            return f"row {i} contains characters other than 0/1"
+        if row[i] == "1":
+            return f"self-loop bit set at vertex {i}"
+    return None

@@ -92,17 +92,19 @@ def test_counted_attributes_exist_on_real_results():
     assert enumerate_max(d, 4).pruned == 0
 
 
-def _smoke_run(workload):
+def _smoke_run(workload, trace=0):
     """One round of ``workload``, every output checked by the
-    benchmark's own oracles, which do not import trisplit."""
+    benchmark's own oracles, which do not import trisplit; returns its
+    metrics."""
     root = TRACING.parent.parent
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", "0",
-         "--seconds", "0", "--trace", "0"],
+         "--seconds", "0", "--trace", str(trace)],
         cwd=root, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, proc.stderr[-2000:]
+    return result["metrics"]
 
 
 def test_split_certify_smoke_run_passes_its_oracles():
@@ -119,3 +121,14 @@ def test_search_rand22_smoke_run_passes_its_oracles():
     # auto and bb agree, exactly, on seeded random 22-vertex tournaments,
     # and each witness scores its value under the tournament ceiling
     _smoke_run("search-rand22")
+
+
+def test_split_certify_traced_run_times_its_layers():
+    # a function the tracer no longer wraps, say one the CLI imports
+    # under another name, reads 0 in a traced run and nowhere else
+    metrics = _smoke_run("split-certify", trace=1)
+    declared = json.loads((TRACING.parent.parent / "BENCHMARK.json").read_text())
+    assert {m["name"] for m in declared["per_layer"]} <= set(metrics)
+    for name in ["digraph.read_digraph_s", "digraph.write_digraph_s",
+                 "certify.certify_bound_s", "experiments.split_experiment_s"]:
+        assert metrics[name]["value"] > 0, name

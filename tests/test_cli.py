@@ -182,6 +182,20 @@ class TestCertify:
         code, out, _ = invoke(capsys, ["certify", "--k", "2", "--set", " 0, 3 ,6 "])
         assert code == 0 and "two_small" in out
 
+    @pytest.mark.parametrize("token", ["1_0", "+3", "\u0663", "0x1"])
+    def test_ids_are_ascii_decimal(self, capsys, token):
+        # int() reads the first three as 10, 3 and 3
+        code, out, err = invoke(capsys, ["certify", "--k", "3", "--set", f"0,{token}"])
+        assert (code, out, err) == (2, "", f"certify: malformed vertex id {token!r}\n")
+
+    def test_repeated_id_refused(self, capsys):
+        code, out, err = invoke(capsys, ["certify", "--k", "2", "--set", "0,0"])
+        assert (code, out, err) == (2, "", "certify: vertex 0 listed twice\n")
+
+    def test_negative_id_is_out_of_range(self, capsys):
+        code, out, err = invoke(capsys, ["certify", "--k", "2", "--set", "-1"])
+        assert (code, out, err) == (2, "", "certify: vertex -1 out of range for n=9\n")
+
 
 class TestSearch:
     def test_stdin_pipe_and_result_line(self, capsys, monkeypatch, tmp_path):

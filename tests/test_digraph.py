@@ -4,7 +4,7 @@ import io
 import tracemalloc
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from trisplit import (
@@ -24,6 +24,7 @@ from naive import (
     naive_induced_arcs,
     naive_is_tournament,
     naive_min_out_degree,
+    naive_read_fault,
     random_digraph,
 )
 
@@ -323,6 +324,74 @@ class TestTextBlocks:
         assert write_digraph(d, sink) is None
         assert sink.getvalue() == text
         assert read_digraph(text) == d
+
+
+#: Kinds of one-character or one-row edit that ``_mutate`` makes
+MUTATIONS = ["x", "\u00e9", "loop", "insert", "delete", "cr", "drop", "add"]
+
+
+def _mutate(text, kind, at):
+    """``text`` with one edit of ``kind``, at the place ``at`` names
+    modulo the places that kind fits; None when none fits.
+
+    "x" and "\u00e9" replace any character, "loop" sets a diagonal
+    character, "insert" and "delete" lengthen and shorten a row, "cr"
+    puts a carriage return before a newline, "drop" removes a row and
+    "add" repeats one.
+    """
+    if kind in ("x", "\u00e9"):
+        at %= len(text)
+        return text[:at] + kind + text[at + 1:]
+    if kind == "cr":
+        at = [j for j, c in enumerate(text) if c == "\n"][at % text.count("\n")]
+        return text[:at] + "\r" + text[at:]
+    header, *rows = text.split("\n")[:-1]
+    n = len(rows)
+    if kind == "add":
+        rows.insert(at % (n + 1), rows[at % n] if n else "")
+    elif not n:
+        return None
+    elif kind == "drop":
+        del rows[at % n]
+    else:
+        u, j = at % n, at // n % n
+        row = rows[u]
+        rows[u] = {"loop": row[:u] + "1" + row[u + 1:],
+                   "insert": row[:j] + "0" + row[j:],
+                   "delete": row[:j] + row[j + 1:]}[kind]
+    return "\n".join([header, *rows]) + "\n"
+
+
+class TestTextFaults:
+    """One edit of a valid text raises exactly the message of
+    ``naive_read_fault``, an oracle that shares no code with the reader,
+    at any block size; an edit it finds valid reads the same digraph."""
+
+    @pytest.mark.parametrize("text, message", MALFORMED)
+    def test_oracle_names_every_malformed_message(self, text, message):
+        assert naive_read_fault(text) == message
+
+    @settings(max_examples=50)
+    @given(digraphs(8))
+    def test_oracle_passes_written_text(self, d):
+        assert naive_read_fault(write_digraph(d)) is None
+
+    @pytest.mark.parametrize("rows", [1, 2, None])
+    @settings(max_examples=300)
+    @given(d=digraphs(6), kind=st.sampled_from(MUTATIONS), at=st.integers(0, 1 << 16))
+    def test_reader_matches_the_oracle(self, rows, d, kind, at):
+        text = _mutate(write_digraph(d), kind, at)
+        assume(text is not None)
+        expected = naive_read_fault(text)
+        with pytest.MonkeyPatch.context() as mp:
+            if rows:
+                mp.setattr("trisplit.digraph._BLOCK_CELLS", rows * max(d.n, 1))
+            if expected is None:
+                assert read_digraph(text) == d
+            else:
+                with pytest.raises(DigraphFormatError) as exc:
+                    read_digraph(text)
+                assert str(exc.value) == expected
 
 
 class _Discard:
