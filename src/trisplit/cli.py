@@ -63,7 +63,17 @@ def _ids_str(vs: VertexSet) -> str:
 def _parse_id_list(text: str) -> list[int]:
     """Comma-separated vertex ids, each an optional "-" and ASCII digits
     with blanks around it; empty tokens are skipped, repeats refused.
-    int() alone would also read "+3", "1_0" and non-ASCII digits."""
+    int() alone would also read "+3", "1_0" and non-ASCII digits, so it
+    parses the whole list only when the text holds none of them; the
+    token walk below names the fault when that parse fails."""
+    if text.isascii() and "+" not in text and "_" not in text:
+        try:
+            ids = list(map(int, filter(str.strip, text.split(","))))
+        except ValueError:
+            pass
+        else:
+            if len(set(ids)) == len(ids):
+                return ids
     tokens = list(filter(None, map(str.strip, text.split(","))))
     bad = [t for t in tokens if not (t.isascii() and t.removeprefix("-").isdigit())]
     if bad:

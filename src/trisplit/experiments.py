@@ -149,51 +149,61 @@ def _shuffled_halves(seeds: list[int], n: int) -> np.ndarray:
     """Membership matrix, one row per seed, of the sampled halves.
 
     Each row replays ``SplitMix64(seed)`` drawing ``next_below(n - i)``
-    for i < n/2 and swapping position i with i + draw; the streams of
-    all rows advance together as one uint64 matrix.
+    for i < n/2 and swapping position i with i + draw.  The streams of
+    all rows advance together, held position-major: draw i of every
+    seed is one contiguous row of a (half x seeds) uint64 matrix, and
+    position p of trial t sits at p * seeds + t of one flat permutation.
     """
-    half = n // 2
+    half, count = n // 2, len(seeds)
     # draw i mixes the state seed + (i+1) * _GOLDEN
-    state = (np.array([s & _MASK64 for s in seeds], dtype=np.uint64)[:, None]
-             + np.arange(1, half + 1, dtype=np.uint64) * np.uint64(_GOLDEN))
-    targets = (mix64(state) % (n - np.arange(half, dtype=np.uint64))).astype(np.intp)
-    targets += np.arange(half)
-    perm = np.tile(np.arange(n, dtype=np.int32), (len(seeds), 1))
-    rows = np.arange(len(seeds))
+    state = (np.arange(1, half + 1, dtype=np.uint64)[:, None] * np.uint64(_GOLDEN)
+             + np.array([s & _MASK64 for s in seeds], dtype=np.uint64))
+    targets = (mix64(state) % (n - np.arange(half, dtype=np.uint64))[:, None]).astype(np.intp)
+    del state
+    # flat index of position i + draw in each trial
+    targets += np.arange(half)[:, None]
+    targets *= count
+    targets += np.arange(count)
+    perm = np.repeat(np.arange(n, dtype=np.int32), count)
     for i in range(half):
-        j = targets[:, i]
-        taken = perm[rows, j]
-        perm[rows, j] = perm[:, i]
-        perm[:, i] = taken
-    member = np.zeros((len(seeds), n), dtype=bool)
-    member[rows[:, None], perm[:, :half]] = True
+        row = perm[i * count:(i + 1) * count]
+        taken = perm[targets[i]]
+        perm[targets[i]] = row
+        row[:] = taken
+    member = np.zeros((count, n), dtype=bool)
+    member[np.arange(count), perm[:half * count].reshape(half, count)] = True
     return member
 
 
 def _split_block(digraph: Digraph, seeds: list[int]) -> list[SplitTrial]:
     """One balanced split per seed, scored in one pass over the adjacency.
 
-    Out-degrees into each half come from one float32 product of the
-    membership matrix and a chunk of adjacency rows; every sum is an
-    integer below 2**24, so the product is exact.  It takes half the
-    time of an AND+popcount on packed rows.
+    Each chunk of adjacency rows takes one float32 product x of the
+    membership matrix and the chunk: x[t, v] counts v's out-neighbours
+    in trial t's half one.  Adding n to every vertex outside half one
+    makes ``x.min`` half one's minimum out-degree; subtracting each
+    vertex's out-degree plus n then makes ``-x.max`` half two's, with
+    no second product and no copy of the chunk.  Every value lies
+    within 2n of 0, below 2**24 at any order whose adjacency fits in
+    memory, so the float32 arithmetic is exact.  The product takes half
+    the time of an AND+popcount on packed rows.
     """
     n = digraph.n
     member = _shuffled_halves(seeds, n)
     weights = member.astype(np.float32)
+    lifted_degree = np.array([row.bit_count() + n for row in digraph.rows], dtype=np.float32)
     # n tops every out-degree; both halves of an even n >= 2 have members; n = 0 runs no chunk
     delta_one = np.full(len(seeds), n, dtype=np.float32)
     delta_two = np.full(len(seeds), n, dtype=np.float32)
     chunk = _rows_per_block(n)
     for lo in range(0, n, chunk):
-        adjacency = _unpack_rows(digraph.rows[lo:lo + chunk], n).astype(np.float32)
-        into_half = weights @ adjacency.T
-        inside = member[:, lo:lo + chunk]
-        np.minimum(delta_one, np.where(inside, into_half, n).min(axis=1),
-                   out=delta_one)
-        into_rest = adjacency.sum(axis=1) - into_half
-        np.minimum(delta_two, np.where(inside, n, into_rest).min(axis=1),
-                   out=delta_two)
+        # the chunk is unnamed, so it is freed before the next one is unpacked
+        x = weights @ _unpack_rows(digraph.rows[lo:lo + chunk], n).astype(np.float32).T
+        x += n
+        x -= n * weights[:, lo:lo + chunk]
+        np.minimum(delta_one, x.min(axis=1), out=delta_one)
+        x -= lifted_degree[lo:lo + chunk]
+        np.minimum(delta_two, -x.max(axis=1), out=delta_two)
     return [
         SplitTrial(seed=seed, half_one=VertexSet(bits, n), delta_one=d1, delta_two=d2)
         for seed, bits, d1, d2 in zip(seeds, _pack_rows(member), delta_one.astype(int).tolist(),

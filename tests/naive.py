@@ -4,6 +4,7 @@ Everything here works on plain arc sets (frozensets of (u, v) pairs),
 deliberately sharing no code with the package's bitset fast paths.
 """
 
+import re
 from itertools import combinations
 
 
@@ -106,3 +107,22 @@ def naive_read_fault(text):
         if row[i] == "1":
             return f"self-loop bit set at vertex {i}"
     return None
+
+
+def naive_parse_ids(text):
+    """The ids ``certify --set`` must read from ``text``, or the message
+    it must refuse it with: comma-separated tokens, each an optional "-"
+    and ASCII digits between blanks (what a ``\\s`` pattern matches);
+    blank tokens are skipped.  The first malformed token decides; with
+    none, the first id, in order of first appearance, that repeats.
+    """
+    ids = []
+    for token in re.split(",", text):
+        if re.fullmatch(r"\s*", token):
+            continue
+        match = re.fullmatch(r"\s*(-?[0-9]+)\s*", token)
+        if match is None:
+            return "malformed vertex id " + repr(re.sub(r"^\s+|\s+\Z", "", token))
+        ids.append(int(match.group(1)))
+    repeated = [v for v in ids if ids.count(v) > 1]
+    return f"vertex {repeated[0]} listed twice" if repeated else ids

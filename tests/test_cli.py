@@ -22,9 +22,15 @@ from trisplit import (
     write_digraph,
 )
 import trisplit
-from trisplit.cli import _load_digraph, run
+from trisplit.cli import _load_digraph, _parse_id_list, run
 
-from naive import naive_max_over_sizes, naive_min_out_degree, random_digraph, random_tournament
+from naive import (
+    naive_max_over_sizes,
+    naive_min_out_degree,
+    naive_parse_ids,
+    random_digraph,
+    random_tournament,
+)
 
 
 def stdin_of(data):
@@ -195,6 +201,17 @@ class TestCertify:
     def test_negative_id_is_out_of_range(self, capsys):
         code, out, err = invoke(capsys, ["certify", "--k", "2", "--set", "-1"])
         assert (code, out, err) == (2, "", "certify: vertex -1 out of range for n=9\n")
+
+    # ASCII and non-ASCII blanks, digits, signs and characters int() or
+    # float() might read
+    @settings(max_examples=1000)
+    @given(st.text("0123456789-+_,x.e\u0663\u00a0\t\x0b\x0c\x1c\x1f\r\n ", max_size=20))
+    def test_id_list_matches_the_oracle(self, text):
+        try:
+            parsed = _parse_id_list(text)
+        except ValueError as exc:
+            parsed = str(exc)
+        assert parsed == naive_parse_ids(text)
 
 
 class TestSearch:

@@ -1,6 +1,7 @@
 """Seeded split trials and the deterministic generator."""
 
 import hashlib
+import random
 import tracemalloc
 from itertools import combinations
 
@@ -167,10 +168,37 @@ class TestLockstepSplit:
         assert list(regrouped.trials) == single
         assert [random_balanced_split(d, t.seed) for t in single] == single
 
-    def test_block_memory_at_level_seven(self):
-        # 200 trials on 2186 vertices fit in one block; its scratch, not the
-        # adjacency, bounds the peak
-        d = punctured_tournament(7)
+    @pytest.mark.parametrize("cells", [1, 7, None])
+    @settings(max_examples=150, deadline=None)
+    @given(half=st.integers(0, 12), density=st.sampled_from([0.0, 1.0]) | st.floats(0, 1),
+           arc_seed=st.integers(0, 1 << 32), trials=st.integers(1, 5),
+           seed=st.integers(0, (1 << 64) - 1))
+    def test_matches_scalar_and_naive_on_any_digraph(self, cells, half, density, arc_seed,
+                                                     trials, seed):
+        # cells 1: one row per chunk and one trial per block; 7: a few rows
+        # of the smallest orders; None: the default, every order in one block
+        n = 2 * half
+        rng = random.Random(arc_seed)
+        d = Digraph.from_arcs(n, [(u, v) for u in range(n) for v in range(n)
+                                  if u != v and rng.random() < density])
+        arcs = arcs_of(d)
+        with pytest.MonkeyPatch.context() as mp:
+            if cells:
+                mp.setattr("trisplit.digraph._BLOCK_CELLS", cells)
+            summary = split_experiment(d, trials, seed)
+        for i, t in enumerate(summary.trials):
+            assert t == random_balanced_split(d, substream_seed(seed, i))
+            one = set(t.half_one.ids())
+            assert len(one) == half
+            assert t.delta_one == naive_min_out_degree(arcs, one)
+            assert t.delta_two == naive_min_out_degree(arcs, set(range(n)) - one)
+
+    @pytest.mark.parametrize("k", [7, 8])
+    def test_block_memory_at_levels_seven_and_eight(self, k):
+        # 200 trials on 2186 vertices fit in one block, and on 6560 vertices
+        # run in blocks of 79; the block's scratch, not the adjacency, bounds
+        # the peak
+        d = punctured_tournament(k)
         tracemalloc.start()
         try:
             summary = split_experiment(d, 200, seed=5)
@@ -178,7 +206,7 @@ class TestLockstepSplit:
         finally:
             tracemalloc.stop()
         assert len(summary.trials) == 200
-        assert peak < 10 << 20
+        assert peak < 7.5 * (1 << 20)
 
     def test_frozen_digest(self):
         # digest of the trials of the per-trial scalar implementation
