@@ -26,6 +26,7 @@ import csv
 import functools
 import math
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -97,7 +98,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    start = time.perf_counter()
     outcome = verify_bound(args.k, budget=args.budget)
+    elapsed = time.perf_counter() - start
     r = outcome.report
     print(_report_lines([
         ("level", args.k),
@@ -105,7 +108,7 @@ def _cmd_verify(args) -> int:
         ("exact max", r.best_value),
         ("witness", _ids_str(r.best_set)),
         ("subsets", r.nodes_visited),
-        ("elapsed", f"{r.elapsed:.3f}s"),
+        ("elapsed", f"{elapsed:.3f}s"),
         ("verdict", "PASS" if outcome.passed else "FAIL"),
     ]))
     return 0 if outcome.passed else 1
@@ -132,7 +135,9 @@ def _cmd_certify(args) -> int:
 def _cmd_search(args) -> int:
     digraph = _load_digraph(args.input)
     search = enumerate_max if args.engine == "blocks" else branch_bound_max
+    start = time.perf_counter()
     report = search(digraph, args.size, budget=args.budget)
+    elapsed = time.perf_counter() - start
     print(_report_lines([
         ("vertices", digraph.n),
         ("size", args.size),
@@ -140,7 +145,7 @@ def _cmd_search(args) -> int:
         ("best value", report.best_value),
         ("witness", _ids_str(report.best_set)),
         ("visited", report.nodes_visited),
-        ("elapsed", f"{report.elapsed:.3f}s"),
+        ("elapsed", f"{elapsed:.3f}s"),
     ]))
     print(
         f"RESULT max={report.best_value} set={_ids_str(report.best_set)} "

@@ -148,12 +148,6 @@ class Digraph:
     def arc_count(self) -> int:
         return sum(row.bit_count() for row in self.rows)
 
-    def _check_set(self, subset: VertexSet) -> None:
-        if subset.owner_n != self.n:
-            raise DimensionError(
-                f"vertex set indexes {subset.owner_n} vertices, digraph has {self.n}"
-            )
-
     def min_out_degree(self, subset: VertexSet | None = None) -> int:
         """Minimum out-degree of the subdigraph induced by ``subset``
         (by all vertices when ``subset`` is None).
@@ -163,7 +157,10 @@ class Digraph:
         """
         if subset is None:
             return subset_min_degree(self.rows, (1 << self.n) - 1)
-        self._check_set(subset)
+        if subset.owner_n != self.n:
+            raise DimensionError(
+                f"vertex set indexes {subset.owner_n} vertices, digraph has {self.n}"
+            )
         return subset_min_degree(self.rows, subset.bits)
 
     def delete_vertex(self, v: int) -> "Digraph":

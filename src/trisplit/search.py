@@ -21,7 +21,6 @@ engine works, and why its pruning is sound, is in its docstring.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -69,7 +68,8 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchReport:
-    """Outcome of one exact search.
+    """Outcome of one exact search, a value: it carries no timing, so
+    equal calls give equal reports.
 
     ``by_size`` maps each searched size to (best value, witness) for
     that size alone; ``best_value`` and ``best_set`` are derived from
@@ -82,7 +82,6 @@ class SearchReport:
 
     by_size: dict[int, tuple[int, VertexSet]]
     nodes_visited: int
-    elapsed: float
     engine: str
     pruned: int = 0
 
@@ -285,8 +284,8 @@ def _blocks_by_size(rows: list[int], sizes: tuple[int, ...], tournament: bool,
     block that none can is skipped.  Every pair reaches 0, and every
     mask is above -1, so a size starts at (0, -1).
 
-    ``blocks`` holds (first vertex, block) mask pairs of id intervals,
-    the first vertex being the least id, in these labels.  The half
+    ``blocks`` holds masks of id intervals, flipped; a block's top bit
+    is its first vertex, its least id in the unflipped labels.  The half
     holding a block's first vertex keeps only the masks that hold it or
     miss the block, so the sweep still covers every subset holding the
     first vertex of each block it meets.  No class empties: the q least
@@ -300,8 +299,9 @@ def _blocks_by_size(rows: list[int], sizes: tuple[int, ...], tournament: bool,
     parts = {m: range(max(0, m - low_bits), min(m, high_bits) + 1) for m in sizes if m}
     highs = _size_classes(high_bits, {p for ps in parts.values() for p in ps})
     lows = _size_classes(low_bits, {m - p for m, ps in parts.items() for p in ps})
-    for first, block in blocks:
+    for block in blocks:
         # a block straddling the halves is checked from its first vertex's half
+        first = 1 << block.bit_length() - 1
         half, shift = (highs, low_bits) if first >> low_bits else (lows, 0)
         first, block = np.uint32(first >> shift), np.uint32(block >> shift)
         for q, masks in half.items():
@@ -340,7 +340,6 @@ def enumerate_max(digraph: Digraph, sizes, budget: int = DEFAULT_BUDGET, *,
     times that, and the half-width size classes: 3432 masks for every
     size up to 13 of 27 vertices.
     """
-    t0 = time.perf_counter()
     n = digraph.n
     sizes = _requested(n, sizes)
     if n > _SWEEP_LIMIT:
@@ -352,13 +351,12 @@ def enumerate_max(digraph: Digraph, sizes, budget: int = DEFAULT_BUDGET, *,
     # under v -> n-1-v the id-lexicographically smallest witness is the
     # numerically largest attaining mask, which the sweep keeps
     flipped = [_reverse(row, n) for row in reversed(digraph.rows)]
-    blocks = [(_reverse(first, n), _reverse(block, n)) for first, block in _blocks]
+    blocks = [_reverse(block, n) for block in _blocks]
     by_size = {m: (value, VertexSet(_reverse(mask, n), n)) for m, (value, mask)
                in _blocks_by_size(flipped, sizes, tournament, blocks).items()}
     return SearchReport(
         by_size=by_size,
         nodes_visited=required,
-        elapsed=time.perf_counter() - t0,
         engine="blocks",
     )
 
@@ -474,7 +472,6 @@ def branch_bound_max(digraph: Digraph, target_size: int,
     """
     n = digraph.n
     (m,) = _requested(n, target_size)
-    t0 = time.perf_counter()
     rows = digraph.rows
     tournament = digraph.is_tournament()
     ceiling = _ceiling(m, tournament)
@@ -511,7 +508,6 @@ def branch_bound_max(digraph: Digraph, target_size: int,
         by_size={m: (best, VertexSet(best_mask, n))},
         nodes_visited=visited,
         pruned=pruned,
-        elapsed=time.perf_counter() - t0,
         engine="bb",
     )
 
@@ -538,7 +534,7 @@ def verify_bound(level: int, budget: int = DEFAULT_BUDGET) -> VerifyOutcome:
     if params.order > _SWEEP_LIMIT:
         raise ValueError(f"level {level} has {params.order} vertices, "
                          f"the exhaustive sweep takes at most {_SWEEP_LIMIT}")
-    blocks = [(1 << s, ((1 << 3 ** j) - 1) << s) for j in range(1, level + 1)
+    blocks = [((1 << 3 ** j) - 1) << s for j in range(1, level + 1)
               for s in range(0, params.order, 3 ** j)]
     report = enumerate_max(ternary_tournament(level), range(params.reg_degree + 1),
                            budget=budget, _blocks=blocks)

@@ -405,6 +405,15 @@ class TestVerify:
         assert verify_bound(2).report.best_set.ids() == (0, 1, 2)
 
 
+def test_reports_are_values():
+    # a report carries no timing, so a repeated call returns an equal one
+    d = punctured_tournament(2)
+    calls = [lambda: enumerate_max(d, range(9)), lambda: branch_bound_max(d, 5),
+             lambda: verify_bound(3)]
+    for call in calls:
+        assert call() == call()
+
+
 def family_blocks(level):
     """Every block of 3**j consecutive ids, j = 1..level, as (first id, size)."""
     return [(s, 3 ** j) for j in range(1, level + 1) for s in range(0, 3 ** level, 3 ** j)]
@@ -428,8 +437,7 @@ class TestCanonicalSweep:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(trisplit.search, "_CHUNK", chunk)
             got = verify_bound(k).report
-        assert got.by_size == want.by_size
-        assert got.nodes_visited == want.nodes_visited
+        assert got == want
 
     @pytest.mark.parametrize("k", range(3))
     def test_matches_naive_per_size(self, k):
