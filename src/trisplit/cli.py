@@ -37,7 +37,7 @@ from .construction import (
     punctured_tournament,
     ternary_tournament,
 )
-from .digraph import Digraph, VertexSet, read_digraph, write_digraph
+from .digraph import Digraph, VertexSet, _decimal, _quote, read_digraph, write_digraph
 from .experiments import split_experiment
 from .search import (
     DEFAULT_BUDGET,
@@ -85,8 +85,17 @@ def _parse_id_list(text: str) -> list[int]:
         raise ValueError("vertex id with too many digits to read") from None
     if len(set(ids)) < len(ids):
         v = next(v for v, count in Counter(ids).items() if count > 1)
-        raise ValueError(f"vertex {v} listed twice")
+        raise ValueError(f"vertex {_decimal(v)} listed twice")
     return ids
+
+
+def _int(text: str) -> int:
+    """argparse's int type, whose refusal quotes at most a prefix of
+    the text."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quote(text)}") from None
 
 
 def _report_lines(pairs) -> str:
@@ -197,41 +206,41 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="emit a family digraph as text")
-    p.add_argument("--k", type=int, required=True, help="recursion level")
+    p.add_argument("--k", type=_int, required=True, help="recursion level")
     p.add_argument("--delete-vertex", action="store_true",
                    help="delete vertex 0 (the counterexample form)")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("verify", help="exhaustive subset degree cap check, levels 0..3")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int, required=True)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("certify", help="recursive bound certificate for a subset")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int, required=True)
     p.add_argument("--set", required=True,
                    help="comma-separated vertex ids (empty string for the empty set)")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("search", help="exact max min-out-degree at one size")
     p.add_argument("--input", required=True, help="digraph file, or - for stdin")
-    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--size", type=_int, required=True)
     p.add_argument("--engine", choices=["auto", "blocks", "bb"],
                    default="auto",
                    help="auto and bb run branch and bound; blocks runs the "
                         "exhaustive sweep (at most 64 vertices) as its cross-check")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=_int, default=DEFAULT_BUDGET,
                    help="max subsets to visit under blocks, max search nodes "
                         "under auto and bb (default %(default)s)")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("split", help="random balanced split trials, CSV out")
     p.add_argument("--input", required=True, help="digraph file, or - for stdin")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_int, required=True)
+    p.add_argument("--seed", type=_int, default=0)
     p.set_defaults(func=_cmd_split)
 
     p = sub.add_parser("table", help="exact gap table, CSV out")
-    p.add_argument("--kmax", type=int, required=True)
+    p.add_argument("--kmax", type=_int, required=True)
     p.set_defaults(func=_cmd_table)
 
     return parser

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .digraph import Digraph
+from .digraph import Digraph, _decimal
 
 #: Largest level construction builds (dense matrix memory).
 MAX_LEVEL = 10
@@ -67,7 +67,7 @@ def level_params(level: int) -> LevelParams:
     parity for every k.
     """
     if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
+        raise ValueError(f"level must be >= 0, got {_decimal(level)}")
     order = 3 ** level
     reg = (order - 1) // 2
     assert (reg - level) % 2 == 0
@@ -91,9 +91,9 @@ def gap_table(k_max: int) -> list[LevelParams]:
     before any row is computed.
     """
     if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+        raise ValueError(f"k_max must be >= 1, got {_decimal(k_max)}")
     if k_max > 9000:
-        raise ValueError(f"k_max must be <= 9000, got {k_max}")
+        raise ValueError(f"k_max must be <= 9000, got {_decimal(k_max)}")
     rows = [level_params(k) for k in range(1, k_max + 1)]
     for row in rows:
         assert row.gap_exact == Fraction(row.k - 1, 2)
@@ -108,9 +108,9 @@ def check_level(level: int) -> int:
     never 3**level, so every refusal takes bounded time.
     """
     if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
+        raise ValueError(f"level must be >= 0, got {_decimal(level)}")
     if level > MAX_LEVEL:
-        raise ValueError(f"level {level} is above the largest level, "
+        raise ValueError(f"level {_decimal(level)} is above the largest level, "
                          f"{MAX_LEVEL} ({3 ** MAX_LEVEL} vertices)")
     return 3 ** level
 

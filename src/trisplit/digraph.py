@@ -12,6 +12,7 @@ safe under concurrent shared reads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
 
@@ -21,12 +22,37 @@ import numpy as np
 #: reading and writing digraph text and scoring splits all work in
 #: blocks of ``_rows_per_block(n)`` whole rows, 239 at level 7.
 _BLOCK_CELLS = 1 << 19
+#: Most characters of outside text, and most decimal digits of an
+#: integer, that a message quotes whole; past it a message gives the
+#: length instead, so a refusal's line stays short.
+_QUOTE_LIMIT = 20
 
 
 def _rows_per_block(n: int) -> int:
     """Whole rows of an n-wide matrix in one block of about
     ``_BLOCK_CELLS`` cells; one row when a row alone is longer."""
     return max(1, _BLOCK_CELLS // max(n, 1))
+
+
+def _quote(text: str) -> str:
+    """``repr(text)``, or past ``_QUOTE_LIMIT`` characters the repr of
+    that many and the text's length."""
+    if len(text) <= _QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)"
+
+
+def _decimal(value: int) -> str:
+    """``value`` in decimal, or past ``_QUOTE_LIMIT`` digits its digit
+    count, found without the int-to-str conversion that refuses long
+    integers."""
+    size = abs(value)
+    if size < 10 ** _QUOTE_LIMIT:
+        return str(value)
+    # the estimate from the bit length is the digit count or one more
+    digits = int(size.bit_length() * math.log10(2)) + 1
+    digits -= size < 10 ** (digits - 1)
+    return f"<{'negative ' if value < 0 else ''}{digits}-digit number>"
 
 
 def _unpack_rows(rows: Iterable[int], n: int) -> np.ndarray:
@@ -79,7 +105,7 @@ class VertexSet:
             return cls(0, owner_n)
         if not (0 <= min(ids) and max(ids) < owner_n):
             v = next(v for v in ids if not 0 <= v < owner_n)
-            raise ValueError(f"vertex {v} out of range for n={owner_n}")
+            raise ValueError(f"vertex {_decimal(v)} out of range for n={owner_n}")
         member = np.zeros(owner_n, dtype=np.uint8)
         member[np.asarray(ids, dtype=np.intp)] = 1
         return cls(_pack_rows(member[None])[0], owner_n)
@@ -229,7 +255,7 @@ def read_digraph(text: str) -> Digraph:
     head_end = text.index("\n")
     header = text[:head_end].strip()
     if not (header.isascii() and header.isdigit()):
-        raise DigraphFormatError(f"malformed vertex count {header!r}")
+        raise DigraphFormatError(f"malformed vertex count {_quote(header)}")
     try:
         n = int(header)
     except ValueError:  # past Python's int-to-str digit limit
@@ -238,7 +264,7 @@ def read_digraph(text: str) -> Digraph:
     start = head_end + 1
     got = text.count("\n", start)
     if got != n:
-        raise DigraphFormatError(f"expected {n} rows, got {got}")
+        raise DigraphFormatError(f"expected {_decimal(n)} rows, got {got}")
     step = _rows_per_block(n)
     rows: list[int] = []
     for lo in range(0, n, step):

@@ -14,24 +14,44 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import Digraph, VertexSet, _pack_rows, _rows_per_block, _unpack_rows
+from .digraph import (Digraph, VertexSet, _decimal, _pack_rows, _rows_per_block,
+                      _unpack_rows)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+#: uint64 elements (256 KB) of an array that :func:`mix64` mixes at once.
+_MIX_BLOCK = 1 << 15
 
 
 def mix64(value):
     """Avalanche finalizer over 64 bits (xor-shift-multiply).
 
     Takes an int or a numpy uint64 array, whose arithmetic wraps mod
-    2**64 as the masks do for ints.
+    2**64 as the masks do for ints.  An array is mixed in one copy,
+    updated in place ``_MIX_BLOCK`` elements at a time, so each shift's
+    scratch is one block, not another array.
     """
     z = value & _MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return z ^ (z >> 31)
+    if isinstance(z, int):
+        return _mix(z)
+    flat = z.reshape(-1)
+    for lo in range(0, flat.size, _MIX_BLOCK):
+        _mix(flat[lo:lo + _MIX_BLOCK])
+    return z
+
+
+def _mix(z):
+    """:func:`mix64`'s steps on a 64-bit int or, in place, a uint64 array."""
+    z ^= z >> 30
+    z *= _MIX1
+    z &= _MASK64
+    z ^= z >> 27
+    z *= _MIX2
+    z &= _MASK64
+    z ^= z >> 31
+    return z
 
 
 class SplitMix64:
@@ -134,7 +154,7 @@ def split_experiment(digraph: Digraph, trials: int, seed: int) -> SplitSummary:
     ``random_balanced_split`` on its seed.
     """
     if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
+        raise ValueError(f"need at least one trial, got {_decimal(trials)}")
     if digraph.n % 2:
         raise ValueError(f"balanced split needs an even vertex count, got {digraph.n}")
     per_block = _rows_per_block(digraph.n)
@@ -158,8 +178,11 @@ def _shuffled_halves(seeds: list[int], n: int) -> np.ndarray:
     # draw i mixes the state seed + (i+1) * _GOLDEN
     state = (np.arange(1, half + 1, dtype=np.uint64)[:, None] * np.uint64(_GOLDEN)
              + np.array([s & _MASK64 for s in seeds], dtype=np.uint64))
-    targets = (mix64(state) % (n - np.arange(half, dtype=np.uint64))[:, None]).astype(np.intp)
+    draws = mix64(state)
     del state
+    draws %= (n - np.arange(half, dtype=np.uint64))[:, None]
+    # every draw is below n, so it reads the same as an int64 index
+    targets = draws.view(np.int64)
     # flat index of position i + draw in each trial
     targets += np.arange(half)[:, None]
     targets *= count

@@ -27,7 +27,7 @@ from typing import ClassVar
 import numpy as np
 
 from .construction import check_level, level_params, ternary_tournament
-from .digraph import Digraph, VertexSet, subset_min_degree
+from .digraph import Digraph, VertexSet, _decimal, subset_min_degree
 
 #: Default ceiling on the subsets, or branch-and-bound nodes, one call may visit.
 DEFAULT_BUDGET = 1 << 27
@@ -61,7 +61,7 @@ class BudgetExceeded(RuntimeError):
                  qualifier: str = ""):
         unit = noun if required == 1 else f"{noun}s"
         super().__init__(f"search needs {required} {unit}{qualifier}, "
-                         f"budget allows {budget}")
+                         f"budget allows {_decimal(budget)}")
         self.required = required
         self.budget = budget
 
@@ -125,7 +125,7 @@ def _requested(n: int, sizes) -> tuple[int, ...]:
         raise ValueError("no subset sizes requested")
     for m in out:
         if not 0 <= m <= n:
-            raise ValueError(f"subset size {m} out of range for n={n}")
+            raise ValueError(f"subset size {_decimal(m)} out of range for n={n}")
     return out
 
 
@@ -362,58 +362,66 @@ def enumerate_max(digraph: Digraph, sizes, budget: int = DEFAULT_BUDGET, *,
     )
 
 
-def _settle(rows: list[int], sel: int, pool: int, left: int, t: int,
+def _settle(live: list[tuple[int, int]], sel: int, pool: int, left: int, t: int,
             hi: int) -> tuple[int, int, int] | None:
     """One branch-and-bound node's bounds and forced picks, to a fixpoint.
 
-    Takes the selected and candidate masks, the picks left and the
-    bounds t and hi of :func:`branch_bound_max`, and returns them with
-    every vertex that fails a bound dropped and every forced vertex
-    picked, or None when no m-set under the node reaches t.  With deg =
-    a + b, ``others`` the candidates' count and c a vertex's candidate
-    non-out-neighbours, ``forced`` = deg + left - others = a + r' - c.
+    Takes the node's live vertices, selected and candidate, as (bit,
+    row) pairs in id order, the selected and candidate masks, the picks
+    left and the bounds t and hi of :func:`branch_bound_max`, and
+    returns the masks and picks with every vertex that fails a bound
+    dropped and every forced vertex picked, or None when no m-set under
+    the node reaches t.  A pass skips the pairs whose bit has left the
+    node, so it visits the vertices in id order against the state the
+    vertices before them left.  With deg = a + b, ``others`` the
+    candidates' count and c a vertex's candidate non-out-neighbours,
+    the forced count deg + left - others = a + r' - c is at most hi
+    exactly when deg is at most ``cap`` = hi - left + others.
     """
     others = pool.bit_count()
     if others < left:
         return None
     union = sel | pool
+    # every candidate's a meets a + left > t and a <= hi, as 0 <= a <= |sel|
+    sure = left > t and sel.bit_count() <= hi
+    cap = hi - left + others
     while True:
         # every cut and forced pick takes a candidate
         start = others
-        rest = union
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            row = rows[low.bit_length() - 1]
+        for bit, row in live:
+            if not bit & union:
+                continue
             deg = (row & union).bit_count()
-            if deg >= t:
+            if bit & sel:
                 a = (row & sel).bit_count()
-                picks = left if low & sel else left - 1
-                forced = deg + left - others
-                if a + picks >= t and a <= hi and forced <= hi:
-                    # a selected vertex with no slack forces picks, all
-                    # read off this one state; one with slack skips the masks
-                    if not low & sel or (a < hi and a + left > t and deg > t
-                                         and forced < hi):
-                        continue
-                    out = row & pool
-                    non = pool ^ out
-                    drop = (out if a == hi else 0) | (non if a + left == t else 0)
-                    take = (out if deg == t else 0) | (non if forced == hi else 0)
-                    if drop | take:
-                        union ^= drop
-                        sel |= take
-                        pool = union ^ sel
-                        rest &= union
-                        # others >= left still holds: hi >= t makes |drop| <= others - left
-                        others = pool.bit_count()
-                        left -= take.bit_count()
+                if deg < t or a + left < t or a > hi or deg > cap:
+                    return None
+                # a selected vertex with no slack forces picks, all read
+                # off this one state; one with slack skips the masks
+                if a < hi and a + left > t and t < deg < cap:
                     continue
-            if low & sel or others == left:
+                out = row & pool
+                non = pool ^ out
+                drop = (out if a == hi else 0) | (non if a + left == t else 0)
+                take = (out if deg == t else 0) | (non if deg == cap else 0)
+                if drop | take:
+                    union ^= drop
+                    sel |= take
+                    pool = union ^ sel
+                    # others >= left still holds: hi >= t makes |drop| <= others - left
+                    others = pool.bit_count()
+                    left -= take.bit_count()
+                    sure = left > t and sel.bit_count() <= hi
+                    cap = hi - left + others
+                continue
+            if t <= deg <= cap and (sure or t - left < (row & sel).bit_count() <= hi):
+                continue
+            if others == left:
                 return None
-            union ^= low
-            pool ^= low
+            union ^= bit
+            pool ^= bit
             others -= 1
+            cap -= 1
         if others == start:
             return sel, pool, left
 
@@ -468,6 +476,16 @@ def branch_bound_max(digraph: Digraph, target_size: int,
     selected vertices and the candidates, iterated to a fixpoint,
     applies every rule.
 
+    Each stack entry carries its node's live vertices as (bit, row)
+    pairs in id order, built at the root from ``digraph.rows``, and a
+    pass walks them in place of peeling the union's bits.  A settle that
+    shrinks the union filters the pairs before the children take them,
+    so a pass costs O(live vertices), not O(n): the vertices cut near
+    the root, such as the arcless bulk of a sparse digraph, are never
+    walked again.  Both children share the list; the exclude child's
+    dropped candidate is skipped by its pass.  The root's bits, ints of
+    up to n bits, take about half the memory of the rows again.
+
     Raises :class:`BudgetExceeded` when the search is about to visit
     node ``budget + 1``.
     """
@@ -479,23 +497,28 @@ def branch_bound_max(digraph: Digraph, target_size: int,
     best, best_mask, visited, pruned = -1, 0, 0, 0
     # the arc-count bound hi; m-1 never cuts, and stays outside tournaments
     hi = m - 1
-    # (selected, candidates, picks left); the include branch pops first
-    stack = [(0, (1 << n) - 1, m)]
+    # (selected, candidates, picks left, live (bit, row) pairs); the
+    # include branch pops first
+    stack = [(0, (1 << n) - 1, m, [(1 << v, row) for v, row in enumerate(rows)])]
     while stack:
-        sel, pool, left = stack.pop()
+        sel, pool, left, live = stack.pop()
         if visited >= budget:
             raise BudgetExceeded(visited + 1, budget, "node", " or more")
         visited += 1
         if left:
-            node = _settle(rows, sel, pool, left, best + 1, hi)
+            union = sel | pool
+            node = _settle(live, sel, pool, left, best + 1, hi)
             if node is None:
                 pruned += 1
                 continue
             sel, pool, left = node
             if left:
+                if sel | pool != union:
+                    union = sel | pool
+                    live = [pair for pair in live if pair[0] & union]
                 low = pool & -pool
-                stack.append((sel, pool ^ low, left))
-                stack.append((sel | low, pool ^ low, left - 1))
+                stack.append((sel, pool ^ low, left, live))
+                stack.append((sel | low, pool ^ low, left - 1, live))
                 continue
         # a full set, picked or forced
         val = subset_min_degree(rows, sel)

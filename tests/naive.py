@@ -95,10 +95,15 @@ def naive_read_fault(text):
     header, *rows = text.split("\n")[:-1]
     header = header.strip()
     if not header or any(c not in "0123456789" for c in header):
+        # a long header is quoted by its first 20 characters and its length
+        if len(header) > 20:
+            return f"malformed vertex count {header[:20]!r}... ({len(header)} characters)"
         return f"malformed vertex count {header!r}"
     n = int(header)
     if len(rows) != n:
-        return f"expected {n} rows, got {len(rows)}"
+        # a count past 20 digits is named by its digit count
+        count = n if n < 10 ** 20 else f"<{len(str(n))}-digit number>"
+        return f"expected {count} rows, got {len(rows)}"
     for i, row in enumerate(rows):
         if len(row) != n:
             return f"row {i} has length {len(row)}, expected {n}"

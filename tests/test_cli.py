@@ -419,6 +419,62 @@ class TestOversizedIntegers:
         assert err.count("\n") == 1
 
 
+_LONG = "1" * 4000
+
+
+class TestLongValues:
+    """Integers from outside the program past 20 digits, within
+    Python's digit limit, are named by their digit count, and a bad int
+    flag by its first 20 characters and its length, so every refusal is
+    one short line; ordinary values read as before."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--k", _LONG],
+         "level <4000-digit number> is above the largest level, 10 (59049 vertices)"),
+        (["generate", "--k", "-" + _LONG], "level must be >= 0, got <negative 4000-digit number>"),
+        (["certify", "--k", "2", "--set", _LONG], "vertex <4000-digit number> out of range for n=9"),
+        (["certify", "--k", "2", "--set", f"{_LONG},{_LONG}"],
+         "vertex <4000-digit number> listed twice"),
+        (["search", "--input", "-", "--size", _LONG],
+         "subset size <4000-digit number> out of range for n=3"),
+        (["search", "--input", "-", "--size", "1", "--budget", "-" + _LONG],
+         "search needs 1 node or more, budget allows <negative 4000-digit number>"),
+        (["split", "--input", "-", "--trials", "-" + _LONG],
+         "need at least one trial, got <negative 4000-digit number>"),
+        (["table", "--kmax", _LONG], "k_max must be <= 9000, got <4000-digit number>"),
+    ], ids=["level", "negative-level", "vertex", "repeat", "size", "budget", "trials", "kmax"])
+    def test_integer_named_by_digit_count(self, capsys, monkeypatch, argv, message):
+        code, out, err = invoke(capsys, argv, stdin="2\n01\n10\n" if "split" in argv
+                                else "3\n010\n001\n100\n", monkeypatch=monkeypatch)
+        assert (code, out, err) == (2, "", f"{argv[0]}: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--k"], ["verify", "--k"], ["certify", "--set", "0", "--k"],
+        ["search", "--input", "-", "--size"], ["search", "--input", "-", "--size", "1", "--budget"],
+        ["split", "--input", "-", "--trials"], ["split", "--input", "-", "--trials", "1", "--seed"],
+        ["table", "--kmax"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-1]}")
+    def test_int_flag_quotes_a_prefix(self, capsys, argv):
+        command, flag = argv[0], argv[-1]
+        code, out, err = invoke(capsys, argv + ["x" * 100_000])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            f"trisplit {command}: error: argument {flag}: invalid int value: "
+            "'xxxxxxxxxxxxxxxxxxxx'... (100000 characters)")
+        assert len(err) < 500
+        code, out, err = invoke(capsys, argv + ["1x"])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == \
+            f"trisplit {command}: error: argument {flag}: invalid int value: '1x'"
+
+    def test_long_header_on_stdin(self, capsys, monkeypatch):
+        code, out, err = invoke(capsys, ["search", "--input", "-", "--size", "1"],
+                                stdin="x" * 100_000 + "\n", monkeypatch=monkeypatch)
+        assert (code, out) == (2, "")
+        assert err == "search: malformed vertex count 'xxxxxxxxxxxxxxxxxxxx'... " \
+                      "(100000 characters)\n"
+
+
 class TestSplit:
     def test_csv_header_and_rows(self, capsys, monkeypatch):
         text = "2\n01\n10\n"

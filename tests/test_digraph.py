@@ -84,6 +84,11 @@ class TestVertexSet:
             VertexSet.from_ids([1, 7, -1, 9], 5)
         with pytest.raises(ValueError, match=r"^vertex -1 out of range for n=5$"):
             VertexSet.from_ids([1, -1, 7], 5)
+        # an id past 20 digits is named by its digit count
+        with pytest.raises(ValueError, match=r"^vertex <4000-digit number> out of range for n=5$"):
+            VertexSet.from_ids([1, 10 ** 3999], 5)
+        with pytest.raises(ValueError, match=r"^vertex <negative 21-digit number> out of range"):
+            VertexSet.from_ids([-10 ** 20], 5)
 
     @given(st.integers(min_value=0, max_value=200).flatmap(
         lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=(1 << n) - 1))))
@@ -370,6 +375,22 @@ class TestTextFaults:
     @pytest.mark.parametrize("text, message", MALFORMED)
     def test_oracle_names_every_malformed_message(self, text, message):
         assert naive_read_fault(text) == message
+
+    @pytest.mark.parametrize("text, message", [
+        ("x" * 20 + "\n", "malformed vertex count 'xxxxxxxxxxxxxxxxxxxx'"),
+        ("x" * 100_000 + "\n",
+         "malformed vertex count 'xxxxxxxxxxxxxxxxxxxx'... (100000 characters)"),
+        (" 12x" + "\u00e9" * 30 + " \n0\n",
+         "malformed vertex count '12x\u00e9\u00e9\u00e9\u00e9\u00e9\u00e9\u00e9\u00e9\u00e9"
+         "\u00e9\u00e9\u00e9\u00e9\u00e9\u00e9\u00e9\u00e9'... (33 characters)"),
+        ("9" * 20 + "\n", "expected 99999999999999999999 rows, got 0"),
+        ("1" + "0" * 24 + "\n0\n", "expected <25-digit number> rows, got 1"),
+    ], ids=["header-20", "header-100000", "header-blanks", "count-20", "count-25"])
+    def test_long_header_is_named_by_its_length(self, text, message):
+        # a header past 20 characters, or a count past 20 digits, is not echoed whole
+        with pytest.raises(DigraphFormatError) as exc:
+            read_digraph(text)
+        assert str(exc.value) == message == naive_read_fault(text)
 
     @settings(max_examples=50)
     @given(digraphs(8))

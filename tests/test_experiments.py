@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from trisplit import (
     split_experiment,
     substream_seed,
 )
+from trisplit.experiments import _shuffled_halves
 
 from naive import arcs_of, naive_min_out_degree
 
@@ -53,6 +55,17 @@ class TestGenerator:
         y = mix64(x)
         assert 0 <= y < (1 << 64)
         assert mix64(x) == y
+
+    @pytest.mark.parametrize("block", [1, 4, 1 << 15])
+    def test_mix64_on_an_array_matches_the_ints(self, monkeypatch, block):
+        # blocks that split the rows, and one that holds the whole array
+        monkeypatch.setattr("trisplit.experiments._MIX_BLOCK", block)
+        rng = random.Random(block)
+        values = [[rng.getrandbits(64) for _ in range(5)] for _ in range(3)]
+        state = np.array(values, dtype=np.uint64)
+        mixed = mix64(state)
+        assert mixed.tolist() == [[mix64(v) for v in row] for row in values]
+        assert state.tolist() == values
 
     def test_substreams_differ(self):
         seeds = {substream_seed(42, i) for i in range(1000)}
@@ -207,6 +220,19 @@ class TestLockstepSplit:
             tracemalloc.stop()
         assert len(summary.trials) == 200
         assert peak < 7.5 * (1 << 20)
+
+    def test_sampling_memory_at_level_eight(self):
+        # one block of 79 trials on 6560 vertices: the draws take one
+        # state-sized copy, mixed in place, beside the state itself
+        seeds = [substream_seed(5, i) for i in range(79)]
+        tracemalloc.start()
+        try:
+            member = _shuffled_halves(seeds, 6560)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert member.sum(axis=1).tolist() == [3280] * 79
+        assert peak < 5 * (1 << 20)
 
     def test_frozen_digest(self):
         # digest of the trials of the per-trial scalar implementation

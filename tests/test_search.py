@@ -370,12 +370,34 @@ class TestBranchBound:
                 assert (r.best_value, r.best_set.ids()) == \
                     naive_max_over_sizes(arcs, 5, [m]), (sorted(arcs), m)
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_matches_the_sweep_on_benchmark_shaped_tournaments(self, seed):
+    @pytest.mark.parametrize("seed, counts", enumerate([
+        (57, 26), (73, 33), (105, 50), (285, 139),
+        (425, 210), (347, 171), (467, 232), (49, 23)]))
+    def test_matches_the_sweep_on_benchmark_shaped_tournaments(self, seed, counts):
         # 22 vertices at size 13: most have max 5 under the ceiling of 6,
-        # so the arc-count bound must rule out regular 13-subtournaments
+        # so the arc-count bound must rule out regular 13-subtournaments;
+        # the node and prune counts freeze the search tree
         d = from_arcset(random_tournament(SplitMix64(1000 + seed), 22), 22)
-        assert branch_bound_max(d, 13).by_size == enumerate_max(d, 13).by_size
+        r = branch_bound_max(d, 13)
+        assert r.by_size == enumerate_max(d, 13).by_size
+        assert (r.nodes_visited, r.pruned) == counts
+
+    @pytest.mark.parametrize("build, counts", [
+        (ternary_tournament, (12969, 6479)), (punctured_tournament, (6445, 3217))])
+    def test_level_three_search_tree_frozen(self, build, counts):
+        r = branch_bound_max(build(3), 13)
+        assert r.best_value == 5
+        assert (r.nodes_visited, r.pruned) == counts
+
+    def test_core_among_arcless_vertices(self):
+        # 1978 arcless vertices below a random 22-vertex tournament: the
+        # first leaf cuts them, and the search then walks the core alone
+        core = from_arcset(random_tournament(SplitMix64(1000), 22), 22)
+        d = Digraph(2000, [0] * 1978 + [row << 1978 for row in core.rows])
+        (value, witness), = branch_bound_max(core, 13).by_size.values()
+        r = branch_bound_max(d, 13)
+        assert r.by_size == {13: (value, VertexSet(witness.bits << 1978, 2000))}
+        assert value == 5
 
 
 class TestVerify:
