@@ -239,19 +239,42 @@ def min_identity_check(level: int, subset: VertexSet) -> bool:
 def actual_min_out_degree(level: int, subset: VertexSet) -> int:
     """Minimum out-degree of the induced subdigraph; 0 when empty.
 
-    Computed bottom up over the block recursion without building the
-    tournament.  Each step groups the blocks of one level in threes
-    (A, B, C); a member of A beats all of B's members, so the grouped
-    block's minimum is the least, over its nonempty parts, of the
-    part's own minimum plus the next part's size, cyclically.
+    Computed by :func:`block_min_degrees` on the subset's one row,
+    without building the tournament.
     """
     order = _check_order(subset, level)
-    size = _unpack_rows((subset.bits,), order)[0].astype(np.int64)
-    # an empty block's minimum is ``order``, which no sum below reaches
-    low = np.where(size > 0, 0, order)
+    return int(block_min_degrees(level, _unpack_rows((subset.bits,), order))[0])
+
+
+def block_min_degrees(level: int, member: np.ndarray) -> np.ndarray:
+    """Each row's induced minimum out-degree in the level-``level``
+    tournament; 0 for an empty row.
+
+    ``member`` is a (rows, 3**level) 0/1 matrix, one subset per row.
+    The minimum is computed bottom up over the block recursion, for
+    every row at once.  Each step groups the blocks of one level in
+    threes (A, B, C), the strided column views 0::3, 1::3 and 2::3; a
+    member of A beats all of B's members, so the grouped block's
+    minimum is the least, over its nonempty parts, of the part's own
+    minimum plus the next part's size, cyclically.  An empty block's
+    minimum reads 2 * 3**level, which keeps every sum with it above any
+    real minimum and leaves an empty group at exactly that value.  No
+    value reaches 3 * 3**level, so int16 holds levels up to 8.
+    """
+    order = check_level(level)
+    empty = 2 * order
+    size = member.astype(np.int16 if 3 * order < 1 << 15 else np.int32)
+    low = size * -empty
+    low += empty
     for _ in range(level):
-        size, low = size.reshape(-1, 3), low.reshape(-1, 3)
-        # the next part, cyclically
-        low = np.where(size > 0, low + size[:, [1, 2, 0]], order).min(axis=1)
-        size = size.sum(axis=1)
-    return int(low[0]) if size[0] else 0
+        a, b, c = size[:, 0::3], size[:, 1::3], size[:, 2::3]
+        # the views are disjoint, so each part's sum is written in place
+        low_a, low_b, low_c = low[:, 0::3], low[:, 1::3], low[:, 2::3]
+        low_a += b
+        low_b += c
+        low_c += a
+        np.minimum(low_a, low_b, out=low_a)
+        low = np.minimum(low_a, low_c)
+        size = a + b
+        size += c
+    return np.where(size[:, 0] > 0, low[:, 0], 0)

@@ -37,7 +37,8 @@ from .construction import (
     punctured_tournament,
     ternary_tournament,
 )
-from .digraph import Digraph, VertexSet, _decimal, _quote, read_digraph, write_digraph
+from .digraph import (_QUOTE_LIMIT, Digraph, VertexSet, _decimal, _quote, read_digraph,
+                      write_digraph)
 from .experiments import split_experiment
 from .search import (
     DEFAULT_BUDGET,
@@ -46,6 +47,9 @@ from .search import (
     enumerate_max,
     verify_bound,
 )
+
+#: Longest argparse refusal printed as it is; every ordinary one is shorter.
+_MESSAGE_LIMIT = 200
 
 
 def _load_digraph(path: str) -> Digraph:
@@ -78,7 +82,7 @@ def _parse_id_list(text: str) -> list[int]:
     tokens = list(filter(None, map(str.strip, text.split(","))))
     bad = [t for t in tokens if not (t.isascii() and t.removeprefix("-").isdigit())]
     if bad:
-        raise ValueError(f"malformed vertex id {bad[0]!r}")
+        raise ValueError(f"malformed vertex id {_quote(bad[0])}")
     try:
         ids = list(map(int, tokens))
     except ValueError:  # past Python's int-to-str digit limit
@@ -96,6 +100,30 @@ def _int(text: str) -> int:
         return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {_quote(text)}") from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose refusals quote outside text with `_quote`,
+    where argparse's own would repeat it whole."""
+
+    def parse_args(self, args=None, namespace=None):
+        args, extra = self.parse_known_args(args, namespace)
+        if extra:
+            joined = " ".join(extra)
+            self.error("unrecognized arguments: "
+                       + (joined if len(joined) <= _QUOTE_LIMIT else _quote(joined)))
+        return args
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {_quote(value)} (choose from {choices})")
+
+    def error(self, message):
+        # the rarer refusals, an ambiguous "--=..." or a value given to a
+        # flag, still repeat an argument whole: quote the message itself
+        super().error(message if len(message) <= _MESSAGE_LIMIT else _quote(message))
 
 
 def _report_lines(pairs) -> str:
@@ -198,7 +226,7 @@ def _cmd_table(args) -> int:
 # built once: in-process callers such as the benchmark call run many times
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trisplit",
         description="recursive ternary tournaments: construction, "
                     "subset-degree verification, certificates, splits",
@@ -255,8 +283,14 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (BudgetExceeded, ValueError, OSError) as exc:
+    except (BudgetExceeded, ValueError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # a file name is outside text
+        detail = exc if exc.filename is None else (
+            f"[Errno {exc.errno}] {exc.strerror}: {_quote(str(exc.filename))}")
+        print(f"{args.command}: {detail}", file=sys.stderr)
         return 2
     except MemoryError:
         print(f"{args.command}: out of memory", file=sys.stderr)

@@ -247,8 +247,12 @@ def read_digraph(text: str) -> Digraph:
     Rows are checked in one pass per block of ``_rows_per_block(n)``
     rows, sliced from ``text`` by offset, and packed; only a block
     that fails is walked row by row, so the first offending row
-    decides the error, whichever block it lies in.  Beyond the text
-    and the packed rows the parse holds a few block-sized buffers.
+    decides the error, whichever block it lies in.  Rows are counted,
+    for the ``expected N rows`` error that precedes every row error,
+    only when a block fails or the text's length is not n + 1
+    characters per row; passing blocks that end the text already prove
+    n rows.  Beyond the text and the packed rows the parse holds a few
+    block-sized buffers.
     """
     if not text.endswith("\n"):
         raise DigraphFormatError("missing final newline")
@@ -261,10 +265,15 @@ def read_digraph(text: str) -> Digraph:
     except ValueError:  # past Python's int-to-str digit limit
         raise DigraphFormatError(
             f"malformed vertex count: {len(header)} digits, too many to read") from None
-    start = head_end + 1
-    got = text.count("\n", start)
-    if got != n:
-        raise DigraphFormatError(f"expected {_decimal(n)} rows, got {got}")
+    first = start = head_end + 1
+
+    def check_row_count() -> None:
+        got = text.count("\n", first)
+        if got != n:
+            raise DigraphFormatError(f"expected {_decimal(n)} rows, got {got}")
+
+    if len(text) != first + n * (n + 1):
+        check_row_count()
     step = _rows_per_block(n)
     rows: list[int] = []
     for lo in range(0, n, step):
@@ -277,6 +286,7 @@ def read_digraph(text: str) -> Digraph:
         if (grid is None or not (grid[:, n] == ord("\n")).all()
                 or not ((grid[:, :n] | 1) == ord("1")).all()
                 or (grid[i, lo + i] == ord("1")).any()):
+            check_row_count()
             # every row ends in a newline, and a faulty one may run past this block
             for u in range(lo, lo + count):
                 end = text.index("\n", start)

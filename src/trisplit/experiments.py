@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certify import block_min_degrees
+from .construction import punctured_level
 from .digraph import (Digraph, VertexSet, _decimal, _pack_rows, _rows_per_block,
                       _unpack_rows)
 
@@ -150,18 +152,23 @@ def split_experiment(digraph: Digraph, trials: int, seed: int) -> SplitSummary:
     be re-run in isolation and the aggregation order is by index no
     matter how the work is scheduled.  Trials run in blocks of
     ``_rows_per_block(n)``, one n-wide membership row each, and a block
-    shares one pass over the adjacency; each trial equals
-    ``random_balanced_split`` on its seed.
+    is scored at once; each trial equals ``random_balanced_split`` on
+    its seed.  The input is checked once against the punctured family
+    (`punctured_level`, which builds the level below the input's); a
+    family input is scored by its block recursion, any other by a pass
+    over the adjacency (see `_split_block`).
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {_decimal(trials)}")
     if digraph.n % 2:
         raise ValueError(f"balanced split needs an even vertex count, got {digraph.n}")
+    level = punctured_level(digraph)
     per_block = _rows_per_block(digraph.n)
     records: list[SplitTrial] = []
     for start in range(0, trials, per_block):
         stop = min(trials, start + per_block)
-        records += _split_block(digraph, [substream_seed(seed, i) for i in range(start, stop)])
+        seeds = [substream_seed(seed, i) for i in range(start, stop)]
+        records += _split_block(digraph, seeds, level)
     return SplitSummary(trials=tuple(records))
 
 
@@ -198,37 +205,50 @@ def _shuffled_halves(seeds: list[int], n: int) -> np.ndarray:
     return member
 
 
-def _split_block(digraph: Digraph, seeds: list[int]) -> list[SplitTrial]:
-    """One balanced split per seed, scored in one pass over the adjacency.
+def _split_block(digraph: Digraph, seeds: list[int], level: int | None) -> list[SplitTrial]:
+    """One balanced split per seed, every seed's halves scored at once.
 
-    Each chunk of adjacency rows takes one float32 product x of the
-    membership matrix and the chunk: x[t, v] counts v's out-neighbours
-    in trial t's half one.  Adding n to every vertex outside half one
-    makes ``x.min`` half one's minimum out-degree; subtracting each
-    vertex's out-degree plus n then makes ``-x.max`` half two's, with
-    no second product and no copy of the chunk.  Every value lies
-    within 2n of 0, below 2**24 at any order whose adjacency fits in
-    memory, so the float32 arithmetic is exact.  The product takes half
-    the time of an AND+popcount on packed rows.
+    When ``digraph`` is ``punctured_tournament(level)``, the halves are
+    rows of a (seeds x 3**level) membership matrix whose column 0, the
+    deleted vertex, stays empty.  `block_min_degrees` scores half one's
+    rows and then, complemented in place, half two's: a few passes over
+    3**level small ints per seed, not a product over n**2 cells.
+
+    Otherwise (``level`` None) each chunk of adjacency rows takes one
+    float32 product x of the membership matrix and the chunk: x[t, v]
+    counts v's out-neighbours in trial t's half one.  Adding n to every
+    vertex outside half one makes ``x.min`` half one's minimum
+    out-degree; subtracting each vertex's out-degree plus n then makes
+    ``-x.max`` half two's, with no second product and no copy of the
+    chunk.  Every value lies within 2n of 0, below 2**24 at any order
+    whose adjacency fits in memory, so the float32 arithmetic is exact.
+    The product takes half the time of an AND+popcount on packed rows.
     """
     n = digraph.n
     member = _shuffled_halves(seeds, n)
-    weights = member.astype(np.float32)
-    lifted_degree = np.array([row.bit_count() + n for row in digraph.rows], dtype=np.float32)
-    # n tops every out-degree; both halves of an even n >= 2 have members; n = 0 runs no chunk
-    delta_one = np.full(len(seeds), n, dtype=np.float32)
-    delta_two = np.full(len(seeds), n, dtype=np.float32)
-    chunk = _rows_per_block(n)
-    for lo in range(0, n, chunk):
-        # the chunk is unnamed, so it is freed before the next one is unpacked
-        x = weights @ _unpack_rows(digraph.rows[lo:lo + chunk], n).astype(np.float32).T
-        x += n
-        x -= n * weights[:, lo:lo + chunk]
-        np.minimum(delta_one, x.min(axis=1), out=delta_one)
-        x -= lifted_degree[lo:lo + chunk]
-        np.minimum(delta_two, -x.max(axis=1), out=delta_two)
+    if level is not None:
+        padded = np.zeros((len(seeds), n + 1), dtype=bool)
+        padded[:, 1:] = member
+        delta_one = block_min_degrees(level, padded)
+        padded[:, 1:] ^= True
+        delta_two = block_min_degrees(level, padded)
+    else:
+        weights = member.astype(np.float32)
+        lifted_degree = np.array([row.bit_count() + n for row in digraph.rows], dtype=np.float32)
+        # n tops every out-degree; both halves of an even n >= 2 have members; n = 0 runs no chunk
+        delta_one = np.full(len(seeds), n, dtype=np.float32)
+        delta_two = np.full(len(seeds), n, dtype=np.float32)
+        chunk = _rows_per_block(n)
+        for lo in range(0, n, chunk):
+            # the chunk is unnamed, so it is freed before the next one is unpacked
+            x = weights @ _unpack_rows(digraph.rows[lo:lo + chunk], n).astype(np.float32).T
+            x += n
+            x -= n * weights[:, lo:lo + chunk]
+            np.minimum(delta_one, x.min(axis=1), out=delta_one)
+            x -= lifted_degree[lo:lo + chunk]
+            np.minimum(delta_two, -x.max(axis=1), out=delta_two)
     return [
-        SplitTrial(seed=seed, half_one=VertexSet(bits, n), delta_one=d1, delta_two=d2)
-        for seed, bits, d1, d2 in zip(seeds, _pack_rows(member), delta_one.astype(int).tolist(),
-                                      delta_two.astype(int).tolist())
+        SplitTrial(seed=seed, half_one=VertexSet(bits, n), delta_one=int(d1), delta_two=int(d2))
+        for seed, bits, d1, d2 in zip(seeds, _pack_rows(member), delta_one.tolist(),
+                                      delta_two.tolist())
     ]

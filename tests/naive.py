@@ -127,7 +127,11 @@ def naive_parse_ids(text):
             continue
         match = re.fullmatch(r"\s*(-?[0-9]+)\s*", token)
         if match is None:
-            return "malformed vertex id " + repr(re.sub(r"^\s+|\s+\Z", "", token))
+            token = re.sub(r"^\s+|\s+\Z", "", token)
+            # a long token is quoted by its first 20 characters and its length
+            if len(token) > 20:
+                return f"malformed vertex id {token[:20]!r}... ({len(token)} characters)"
+            return "malformed vertex id " + repr(token)
         ids.append(int(match.group(1)))
     repeated = [v for v in ids if ids.count(v) > 1]
     return f"vertex {repeated[0]} listed twice" if repeated else ids

@@ -4,6 +4,7 @@ import hashlib
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from trisplit.certify import (
     TWO_LARGE,
     TWO_SMALL,
     actual_min_out_degree,
+    block_min_degrees,
 )
 
 from naive import arcs_of, naive_min_out_degree
@@ -340,3 +342,40 @@ class TestStructuralScorer:
             actual_min_out_degree(2, VertexSet(0, 8))
         with pytest.raises(ValueError, match="above the largest level, 10"):
             actual_min_out_degree(11, VertexSet(0, 3 ** 11))
+
+
+class TestBlockMinDegrees:
+    """``block_min_degrees``, many subsets at once, against the dense
+    tournament."""
+
+    @staticmethod
+    def rows(subsets, order):
+        member = np.zeros((len(subsets), order), dtype=bool)
+        for row, ids in zip(member, subsets):
+            row[list(ids)] = True
+        return member
+
+    def test_rows_match_the_dense_tournament(self):
+        rng = random.Random(36)
+        for k in range(7):
+            order, t = 3 ** k, ternary_tournament(k)
+            subsets = [[], range(order)] + [[v] for v in {0, order // 2, order - 1}]
+            subsets += [rng.sample(range(order), rng.randint(0, order)) for _ in range(30)]
+            got = block_min_degrees(k, self.rows(subsets, order)).tolist()
+            assert got == [t.min_out_degree(vs(ids, k)) for ids in subsets]
+
+    def test_levels_eight_and_nine(self):
+        # int16 at level 8, int32 at level 9; a level-9 subset is scored
+        # through the block identity from its parts' dense level-8 minima
+        rng = random.Random(9)
+        third = 3 ** 8
+        t = ternary_tournament(8)
+        parts = [rng.sample(range(third), size) for size in (3280, 100, 1, 0, third)]
+        got = block_min_degrees(8, self.rows(parts, third)).tolist()
+        assert got == [t.min_out_degree(VertexSet.from_ids(ids, third)) for ids in parts]
+        picks = [(0, 1, 2), (4, 0, 1), (3, 4, 4), (1, 3, 2), (3, 3, 3)]
+        subsets = [[v + i * third for i, p in enumerate(pick) for v in parts[p]]
+                   for pick in picks]
+        want = [min((got[pick[i]] + len(parts[pick[(i + 1) % 3]])
+                     for i in range(3) if parts[pick[i]]), default=0) for pick in picks]
+        assert block_min_degrees(9, self.rows(subsets, 3 * third)).tolist() == want

@@ -1,5 +1,6 @@
 """Command-line surface: flags, streams, exit codes, formats."""
 
+import errno
 import hashlib
 import io
 import os
@@ -473,6 +474,67 @@ class TestLongValues:
         assert (code, out) == (2, "")
         assert err == "search: malformed vertex count 'xxxxxxxxxxxxxxxxxxxx'... " \
                       "(100000 characters)\n"
+
+
+_XS = "x" * 100_000
+_QUOTED_XS = "'xxxxxxxxxxxxxxxxxxxx'... (100000 characters)"
+
+
+class TestLongOutsideText:
+    """Outside text in a refusal, from argparse or the program, is
+    quoted by its first 20 characters and its length, so stderr stays
+    short; ordinary refusals keep their wording."""
+
+    @pytest.mark.parametrize("argv, last_line", [
+        (["certify", "--k", "2", "--set", _XS], f"certify: malformed vertex id {_QUOTED_XS}"),
+        (["search", "--engine", _XS, "--input", "-", "--size", "1"],
+         f"trisplit search: error: argument --engine: invalid choice: {_QUOTED_XS} "
+         "(choose from 'auto', 'blocks', 'bb')"),
+        (["table", "--kmax", "2", _XS], f"trisplit: error: unrecognized arguments: {_QUOTED_XS}"),
+        (["table", "--kmax", "2"] + ["x"] * 50_000,
+         "trisplit: error: unrecognized arguments: 'x x x x x x x x x x '... (99999 characters)"),
+        (["search", "--input", _XS, "--size", "1"],
+         f"search: [Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}: {_QUOTED_XS}"),
+        ([_XS], f"trisplit: error: argument command: invalid choice: {_QUOTED_XS} (choose from "
+                "'generate', 'verify', 'certify', 'search', 'split', 'table')"),
+    ], ids=["set", "engine", "extra", "many-extra", "input", "command"])
+    def test_refusal_is_short(self, capsys, argv, last_line):
+        code, out, err = invoke(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == last_line
+        assert len(err.encode()) < 300
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "--kmax", "2", "--=" + _XS],
+        ["generate", "--k", "1", "--delete-vertex=" + _XS],
+        ["table", "-h" + _XS],
+    ], ids=["ambiguous", "flag-value", "short-flags"])
+    def test_rarer_argparse_refusals_are_quoted_whole(self, capsys, argv):
+        # an ambiguous prefix or a value given to a flag; the wording is argparse's
+        code, out, err = invoke(capsys, argv)
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"trisplit \w+: error: '.{20}'\.\.\. \(\d{6} characters\)",
+                            err.splitlines()[-1])
+        assert len(err.encode()) < 300
+
+    def test_long_id_matches_the_oracle(self):
+        with pytest.raises(ValueError) as exc:
+            _parse_id_list(f"0, {_XS} ,1")
+        assert str(exc.value) == naive_parse_ids(f"0, {_XS} ,1")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["search", "--engine", "x", "--input", "-", "--size", "1"],
+         "trisplit search: error: argument --engine: invalid choice: 'x' "
+         "(choose from 'auto', 'blocks', 'bb')"),
+        (["table", "--kmax", "2", "a", "b"], "trisplit: error: unrecognized arguments: a b"),
+        (["search", "--input", "/no/such", "--size", "1"],
+         "search: [Errno 2] No such file or directory: '/no/such'"),
+        (["generate", "--k", "1", "--delete-vertex=1"],
+         "trisplit generate: error: argument --delete-vertex: ignored explicit argument '1'"),
+    ], ids=["engine", "extra", "input", "flag-value"])
+    def test_ordinary_refusals_keep_their_wording(self, capsys, argv, message):
+        code, out, err = invoke(capsys, argv)
+        assert (code, out, err.splitlines()[-1]) == (2, "", message)
 
 
 class TestSplit:

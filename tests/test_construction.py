@@ -6,6 +6,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,7 @@ from trisplit import (
     trit_arc,
     verify_bound,
 )
-from trisplit.certify import BASE, TWO_SMALL, BoundCertificate
+from trisplit.certify import BASE, TWO_SMALL, BoundCertificate, block_min_degrees
 
 from naive import arcs_of, naive_is_tournament
 
@@ -127,6 +128,7 @@ LEVEL_ENTRY_POINTS = {
     "partition_parts": lambda k: partition_parts(VertexSet(0, 3), k),
     "certify_bound": lambda k: certify_bound(k, VertexSet(0, 3)),
     "actual_min_out_degree": lambda k: actual_min_out_degree(k, VertexSet(0, 3)),
+    "block_min_degrees": lambda k: block_min_degrees(k, np.zeros((1, 3), dtype=bool)),
     "min_identity_check": lambda k: min_identity_check(k, VertexSet(0, 3)),
     "replay_base": lambda k: BoundCertificate(BASE, k, VertexSet(0, 3), 0).replay(),
     "replay_two_small": lambda k: BoundCertificate(

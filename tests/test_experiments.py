@@ -19,9 +19,33 @@ from trisplit import (
     split_experiment,
     substream_seed,
 )
+from trisplit.certify import block_min_degrees
+from trisplit.construction import punctured_level
 from trisplit.experiments import _shuffled_halves
 
 from naive import arcs_of, naive_min_out_degree
+
+
+def reverse_arc(d, u, v):
+    """``d`` with the arc between u and v turned around."""
+    rows = list(d.rows)
+    rows[u] ^= 1 << v
+    rows[v] ^= 1 << u
+    return Digraph(d.n, rows)
+
+
+def swap_ids(d, u, v):
+    """``d`` with vertices u and v relabelled as each other."""
+    def swapped(row):
+        flip = (row >> u ^ row >> v) & 1
+        return row ^ (flip << u | flip << v)
+    rows = [swapped(row) for row in d.rows]
+    rows[u], rows[v] = rows[v], rows[u]
+    return Digraph(d.n, rows)
+
+
+def no_blocks(level, member):
+    raise AssertionError("a digraph outside the family was scored by its blocks")
 
 
 class TestGenerator:
@@ -221,6 +245,67 @@ class TestLockstepSplit:
         assert len(summary.trials) == 200
         assert peak < 7.5 * (1 << 20)
 
+    @pytest.mark.parametrize("cells", [1, 26 * 3])
+    def test_grouping_is_invisible_off_the_family(self, monkeypatch, cells):
+        # the family's order with one arc reversed: recognition runs, fails,
+        # and the product scores every block
+        d = reverse_arc(punctured_tournament(3), 4, 17)
+        monkeypatch.setattr("trisplit.experiments.block_min_degrees", no_blocks)
+        single = [random_balanced_split(d, substream_seed(6, i)) for i in range(10)]
+        default = split_experiment(d, 10, seed=6)
+        monkeypatch.setattr("trisplit.digraph._BLOCK_CELLS", cells)
+        regrouped = split_experiment(d, 10, seed=6)
+        assert regrouped == default
+        assert list(regrouped.trials) == single
+
+    @pytest.mark.parametrize("cells", [None, 1, 26 * 3])
+    def test_family_blocks_match_the_scalar_split(self, monkeypatch, cells):
+        # every trial at levels 1-6, in blocks of the default size, of one
+        # trial, and of 78 cells; each block's two halves take one call each
+        scored = []
+
+        def counted(level, member):
+            scored.append(len(member))
+            return block_min_degrees(level, member)
+
+        monkeypatch.setattr("trisplit.experiments.block_min_degrees", counted)
+        if cells:
+            monkeypatch.setattr("trisplit.digraph._BLOCK_CELLS", cells)
+        for k in range(1, 7):
+            d = punctured_tournament(k)
+            scored.clear()
+            summary = split_experiment(d, 12, seed=k)
+            assert sum(scored) == 2 * 12
+            for i, t in enumerate(summary.trials):
+                assert t == random_balanced_split(d, substream_seed(k, i))
+
+    @pytest.mark.parametrize("k", [7, 8])
+    def test_product_memory_at_levels_seven_and_eight(self, monkeypatch, k):
+        # test_block_memory_at_levels_seven_and_eight off the family
+        d = reverse_arc(punctured_tournament(k), 0, 3 ** k - 2)
+        monkeypatch.setattr("trisplit.experiments.block_min_degrees", no_blocks)
+        tracemalloc.start()
+        try:
+            summary = split_experiment(d, 200, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(summary.trials) == 200
+        assert peak < 7.5 * (1 << 20)
+
+    @pytest.mark.parametrize("k, mib", [(7, 4.78), (8, 5.09)])
+    def test_family_memory_within_the_products(self, k, mib):
+        # the family's blocks take no more than the product took on it:
+        # its peaks at levels 7 and 8 were 4.78 and 5.09 MiB
+        d = punctured_tournament(k)
+        tracemalloc.start()
+        try:
+            split_experiment(d, 200, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= mib * (1 << 20)
+
     def test_sampling_memory_at_level_eight(self):
         # one block of 79 trials on 6560 vertices: the draws take one
         # state-sized copy, mixed in place, beside the state itself
@@ -263,3 +348,33 @@ class TestLockstepSplit:
         wide = random_balanced_split(d, (1 << 64) + 3)
         assert wide.seed == (1 << 64) + 3
         assert wide.half_one == random_balanced_split(d, 3).half_one
+
+
+class TestPuncturedLevel:
+    """Recognition of the punctured family, which picks split's scorer."""
+
+    def test_family_recognised(self):
+        for k in range(1, 8):
+            assert punctured_level(punctured_tournament(k)) == k
+
+    def test_other_orders_build_nothing(self, monkeypatch):
+        def build(level):
+            raise AssertionError("a level was built for an order outside the family")
+        monkeypatch.setattr("trisplit.construction.ternary_tournament", build)
+        # 3**11 - 1 is past the largest level
+        for n in (0, 1, 3, 4, 7, 9, 25, 27, 730, 3 ** 11 - 1):
+            assert punctured_level(Digraph(n, [0] * n)) is None
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_reversed_arc_and_swapped_ids_refused(self, k):
+        d = punctured_tournament(k)
+        n, third = d.n, 3 ** (k - 1)
+        rng = random.Random(k)
+        # the ends of the rows and of each third, and a few pairs at random
+        ends = sorted({0, third - 2, third - 1, 2 * third - 1, n - 1} & set(range(n)))
+        pairs = {(u, v) for u in ends for v in ends if u < v}
+        pairs |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(10)}
+        for u, v in sorted(pairs):
+            assert punctured_level(reverse_arc(d, u, v)) is None
+            assert punctured_level(swap_ids(d, u, v)) is None
+        assert punctured_level(Digraph(n, [0] * n)) is None
