@@ -2,17 +2,18 @@
 
 Level 0 is the one-vertex tournament.  Level k+1 glues three disjoint
 copies of level k cyclically: with the copies on consecutive id blocks
-A, B, C, every arc A->B, B->C and C->A is added.  The result is a
-regular tournament on 3**k vertices whose every vertex has out-degree
-(3**k - 1) // 2.
+A, B, C, every arc A->B, B->C and C->A is added (`_copies`, the one
+statement of this gluing rule).  The result is a regular tournament on
+3**k vertices whose every vertex has out-degree (3**k - 1) // 2.
 
 Vertex ids double as base-3 labels: the most significant trit of a
 vertex names its copy (0 -> A, 1 -> B, 2 -> C), recursively.  That
 makes the arc relation a closed form over trit strings (`trit_arc`),
 which must agree bit-for-bit with the recursive builder.
 
-Deleting one vertex from level k yields the 2n-vertex counterexample
-tournament with minimum out-degree n-1, where n = (3**k - 1) // 2.
+Deleting vertex 0 from level k yields the 2n-vertex counterexample
+tournament with minimum out-degree n-1, where n = (3**k - 1) // 2
+(`_punctured_rows`, the one statement of this puncture).
 
 Levels are dense bitset matrices, so the family has one limit, level
 ``MAX_LEVEL`` (3**MAX_LEVEL vertices), and one rule: every function
@@ -28,8 +29,10 @@ their exact gap s/2 - bound, which telescopes to (k - 1)/2.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator, Sequence
 
 from .digraph import Digraph, _decimal
 
@@ -115,18 +118,31 @@ def check_level(level: int) -> int:
     return 3 ** level
 
 
+def _copies(rows: Sequence[int]) -> Iterator[int]:
+    """The next level's rows, lazily: copy j of ``rows`` beats copy j + 1 mod 3."""
+    n = len(rows)
+    block = (1 << n) - 1
+    for j in range(3):
+        shift, beaten = j * n, block << (j + 1) % 3 * n
+        for row in rows:
+            yield row << shift | beaten
+
+
 def ternary_tournament(level: int) -> Digraph:
     """The regular tournament on 3**level vertices, built recursively."""
     check_level(level)
     rows = [0]
     for _ in range(level):
-        n = len(rows)
-        block = (1 << n) - 1
-        # copies A, B, C on consecutive blocks; A beats B, B beats C, C beats A
-        rows = ([row | block << n for row in rows]
-                + [row << n | block << 2 * n for row in rows]
-                + [row << 2 * n | block for row in rows])
+        rows = list(_copies(rows))
     return Digraph(len(rows), rows)
+
+
+def _punctured_rows(level: int) -> Iterator[int]:
+    """`punctured_tournament(level)`'s rows, lazily, built from level - 1."""
+    rows = _copies(ternary_tournament(level - 1).rows)
+    next(rows)  # vertex 0 is deleted, and vertex v becomes v - 1
+    for row in rows:
+        yield row >> 1
 
 
 def punctured_tournament(level: int) -> Digraph:
@@ -139,11 +155,7 @@ def punctured_tournament(level: int) -> Digraph:
     """
     if level == 0:
         raise ValueError("puncturing needs k >= 1: level 0 has one vertex")
-    rows = list(ternary_tournament(level).rows)
-    del rows[0]
-    for i, row in enumerate(rows):
-        rows[i] = row >> 1  # v becomes v-1, in place: one copy of the rows
-    return Digraph(len(rows), rows)
+    return Digraph(check_level(level) - 1, _punctured_rows(level))
 
 
 def punctured_level(digraph: Digraph) -> int | None:
@@ -151,27 +163,13 @@ def punctured_level(digraph: Digraph) -> int | None:
     row for row, or None.
 
     Only an order 3**k - 1 with 1 <= k <= ``MAX_LEVEL`` can match; any
-    other order returns at once.  At such an order the check builds
-    level k - 1, its one copy of family rows and a ninth of the input's
-    bits, and compares each third of the input with it, shifted to its
-    copy and OR-ed with the next copy's block mask, up to the first row
-    that differs.  At level 7 that is 0.7 ms on a 2-core x86 host, half
-    the time of building the punctured level and comparing it.
+    other order returns at once.  Otherwise the rows are compared with
+    `_punctured_rows(k)`, which holds level k - 1, up to the first that
+    differs.
     """
     level = next((k for k in range(1, MAX_LEVEL + 1) if 3 ** k == digraph.n + 1), None)
-    if level is None:
+    if level is None or not all(map(operator.eq, digraph.rows, _punctured_rows(level))):
         return None
-    third = 3 ** (level - 1)
-    base = ternary_tournament(level - 1).rows
-    block = (1 << third) - 1
-    rows = digraph.rows
-    for j in range(3):
-        shift, beaten = j * third, block << (j + 1) % 3 * third
-        # vertex v of level k is row v - 1, and bit v is bit v - 1: vertex 0 is gone
-        lo = max(shift - 1, 0)
-        if any(row != (r << shift | beaten) >> 1
-               for row, r in zip(rows[lo:shift + third - 1], base[lo + 1 - shift:])):
-            return None
     return level
 
 

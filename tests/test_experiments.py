@@ -18,6 +18,7 @@ from trisplit import (
     random_balanced_split,
     split_experiment,
     substream_seed,
+    ternary_tournament,
 )
 from trisplit.certify import block_min_degrees
 from trisplit.construction import punctured_level
@@ -366,14 +367,31 @@ class TestPuncturedLevel:
             assert punctured_level(Digraph(n, [0] * n)) is None
 
     @pytest.mark.parametrize("k", range(1, 7))
+    def test_building_and_recognising_build_only_the_level_below(self, k, monkeypatch):
+        d, calls = punctured_tournament(k), []
+
+        def build(level):
+            calls.append(level)
+            return ternary_tournament(level)
+        monkeypatch.setattr("trisplit.construction.ternary_tournament", build)
+        assert punctured_tournament(k) == d
+        assert calls == [k - 1]
+        assert punctured_level(d) == k
+        assert calls == [k - 1, k - 1]
+
+    @pytest.mark.parametrize("k", range(1, 7))
     def test_reversed_arc_and_swapped_ids_refused(self, k):
         d = punctured_tournament(k)
         n, third = d.n, 3 ** (k - 1)
         rng = random.Random(k)
-        # the ends of the rows and of each third, and a few pairs at random
-        ends = sorted({0, third - 2, third - 1, 2 * third - 1, n - 1} & set(range(n)))
-        pairs = {(u, v) for u in ends for v in ends if u < v}
-        pairs |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(10)}
+        if k <= 3:
+            # every pair: 325 at level 3
+            pairs = set(combinations(range(n), 2))
+        else:
+            # the ends of the rows and of each third, and a few pairs at random
+            ends = sorted({0, third - 2, third - 1, 2 * third - 1, n - 1} & set(range(n)))
+            pairs = {(u, v) for u in ends for v in ends if u < v}
+            pairs |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(10)}
         for u, v in sorted(pairs):
             assert punctured_level(reverse_arc(d, u, v)) is None
             assert punctured_level(swap_ids(d, u, v)) is None
